@@ -1,7 +1,7 @@
 //! Property test: ACKwise invalidation targets always over-approximate
 //! the true sharer set (correctness of limited-pointer tracking).
 
-use imp_coherence::{Directory, InvTargets};
+use imp_coherence::{Directory, InvTargets, MAX_SHARERS};
 use imp_common::LineAddr;
 use proptest::prelude::*;
 
@@ -9,7 +9,7 @@ proptest! {
     #[test]
     fn invalidation_over_approximates_sharers(
         adds in proptest::collection::vec(0u32..16, 1..24),
-        k in 1usize..6,
+        k in 1usize..MAX_SHARERS + 1,
     ) {
         let mut dir = Directory::new(k, 16);
         let line = LineAddr::from_line_number(3);
@@ -23,7 +23,7 @@ proptest! {
             InvTargets::Precise(v) => {
                 // Precise mode must name every true sharer.
                 for c in truth {
-                    prop_assert!(v.contains(&c), "sharer {c} missing from {v:?}");
+                    prop_assert!(v.contains(c), "sharer {c} missing from {v:?}");
                 }
             }
             InvTargets::None => prop_assert!(false, "sharers exist"),
@@ -43,7 +43,7 @@ proptest! {
         // duplicates, so remove once per add in that case.
         match dir.invalidation_targets(line, None) {
             InvTargets::Precise(v) => {
-                for c in v {
+                for c in v.iter() {
                     dir.remove(line, c);
                 }
                 prop_assert!(!dir.is_cached(line));

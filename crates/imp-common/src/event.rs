@@ -12,6 +12,12 @@
 //! at pop time. The observable order is identical to a plain priority
 //! queue with a `(time, seq)` key: strictly by time, FIFO within a
 //! time.
+//!
+//! Only overflow entries carry a sequence number. Wheel buckets are
+//! FIFO already, and an overflow entry never loses a tie to a wheel
+//! entry: for any time `t`, every pending overflow entry at `t` was
+//! pushed before every pending wheel entry at `t` (see
+//! [`EventQueue::pop`]).
 
 use crate::Cycle;
 use std::cmp::Reverse;
@@ -42,9 +48,8 @@ const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Bucket `t & WHEEL_MASK` holds the events at absolute time `t`
-    /// for every `t` in `[base, base + WHEEL_SLOTS)`, each in push
-    /// order (which is seq order, since seq is monotonic).
-    wheel: Box<[VecDeque<(u64, E)>]>,
+    /// for every `t` in `[base, base + WHEEL_SLOTS)`, in push order.
+    wheel: Box<[VecDeque<E>]>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WHEEL_WORDS],
     /// Events currently resident in the wheel.
@@ -56,6 +61,7 @@ pub struct EventQueue<E> {
     /// Events outside the wheel window: far-future timestamps, plus the
     /// (degenerate) case of a push earlier than `base`.
     overflow: BinaryHeap<Reverse<Entry<E>>>,
+    /// Push counter; orders equal-time overflow entries.
     seq: u64,
     len: usize,
 }
@@ -101,20 +107,29 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at absolute time `time`.
     #[inline]
     pub fn push(&mut self, time: Cycle, payload: E) {
-        let seq = self.seq;
-        self.seq += 1;
         self.len += 1;
         if time >= self.base && time - self.base < WHEEL_SLOTS as Cycle {
             let b = (time as usize) & WHEEL_MASK;
-            self.wheel[b].push_back((seq, payload));
+            self.wheel[b].push_back(payload);
             self.occupied[b / 64] |= 1 << (b % 64);
             self.wheel_len += 1;
         } else {
+            let seq = self.seq;
+            self.seq += 1;
             self.overflow.push(Reverse(Entry { time, seq, payload }));
         }
     }
 
     /// Removes and returns the earliest event.
+    ///
+    /// On a time tie the overflow heap wins, which keeps FIFO order:
+    /// an overflow entry at `t` was always pushed before any wheel
+    /// entry at `t`. It went to the overflow either because `t` lay
+    /// past the window (`t >= base + WHEEL_SLOTS` then), so no earlier
+    /// push could have put `t` in the wheel since `base` never moves
+    /// back; or because `t < base`, and `base` only passes `t` once
+    /// the wheel holds nothing at `t`, after which no push can put `t`
+    /// in the wheel again.
     #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         if self.len == 0 {
@@ -123,7 +138,7 @@ impl<E> EventQueue<E> {
         let wheel_min = self.wheel_min();
         let take_overflow = match (wheel_min, self.overflow.peek()) {
             (None, Some(_)) => true,
-            (Some((wt, ws, _)), Some(Reverse(o))) => (o.time, o.seq) < (wt, ws),
+            (Some((wt, _)), Some(Reverse(o))) => o.time <= wt,
             _ => false,
         };
         self.len -= 1;
@@ -134,8 +149,8 @@ impl<E> EventQueue<E> {
             self.base = self.base.max(e.time);
             return Some((e.time, e.payload));
         }
-        let (time, _, b) = wheel_min.expect("len > 0 and overflow did not win");
-        let (_, payload) = self.wheel[b].pop_front().expect("occupied bucket");
+        let (time, b) = wheel_min.expect("len > 0 and overflow did not win");
+        let payload = self.wheel[b].pop_front().expect("occupied bucket");
         if self.wheel[b].is_empty() {
             self.occupied[b / 64] &= !(1 << (b % 64));
         }
@@ -149,21 +164,21 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return None;
         }
-        let wheel = self.wheel_min().map(|(t, s, _)| (t, s));
-        let over = self.overflow.peek().map(|Reverse(e)| (e.time, e.seq));
+        let wheel = self.wheel_min().map(|(t, _)| t);
+        let over = self.overflow.peek().map(|Reverse(e)| e.time);
         match (wheel, over) {
-            (Some(w), Some(o)) => Some(w.min(o).0),
-            (Some((t, _)), None) | (None, Some((t, _))) => Some(t),
+            (Some(w), Some(o)) => Some(w.min(o)),
+            (Some(t), None) | (None, Some(t)) => Some(t),
             (None, None) => None,
         }
     }
 
-    /// Earliest wheel event as `(time, seq, bucket)`: the first
+    /// Earliest wheel event as `(time, bucket)`: the first
     /// occupied bucket scanning the occupancy bitmap in circular order
     /// from `base` (bucket order from `base` is time order, since each
     /// bucket holds one distinct time within the window).
     #[inline]
-    fn wheel_min(&self) -> Option<(Cycle, u64, usize)> {
+    fn wheel_min(&self) -> Option<(Cycle, usize)> {
         if self.wheel_len == 0 {
             return None;
         }
@@ -190,8 +205,7 @@ impl<E> EventQueue<E> {
         }
         let b = bucket.expect("wheel_len > 0 implies an occupied bucket");
         let time = self.base + ((b.wrapping_sub(start) & WHEEL_MASK) as Cycle);
-        let &(seq, _) = self.wheel[b].front().expect("occupied bucket");
-        Some((time, seq, b))
+        Some((time, b))
     }
 
     /// Number of pending events.
@@ -276,11 +290,11 @@ mod tests {
         // Pushed while out of the window: lands in overflow.
         let t = WHEEL_SLOTS as u64 + 100;
         q.push(t, 0);
-        q.push(0, 99);
-        assert_eq!(q.pop(), Some((0, 99)));
+        q.push(200, 99);
+        assert_eq!(q.pop(), Some((200, 99)));
         // Now `t` is within the (re-based) window: lands in the wheel.
         q.push(t, 1);
-        // Overflow's seq is lower, so it must still pop first.
+        // The overflow entry was pushed first, so it must pop first.
         assert_eq!(q.pop(), Some((t, 0)));
         assert_eq!(q.pop(), Some((t, 1)));
     }

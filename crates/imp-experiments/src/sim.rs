@@ -72,6 +72,9 @@ pub enum SimError {
     /// failure — a missing or corrupt record is a cache miss, never an
     /// error).
     Store(String),
+    /// The simulator cannot model the configured machine (too many
+    /// tiles, or an ACKwise pointer count wider than it stores).
+    System(BuildError),
     /// The run exceeded its event budget (see [`Sim::event_budget`])
     /// before finishing; a runaway sweep cell fails this way instead of
     /// aborting the process. Carries the statistics collected up to the
@@ -121,6 +124,7 @@ impl fmt::Display for SimError {
                 "program was generated for {program} cores but the configuration has {config}"
             ),
             SimError::Store(e) => write!(f, "result store failure: {e}"),
+            SimError::System(e) => write!(f, "{e}"),
             SimError::EventBudgetExceeded { events, .. } => {
                 write!(f, "simulation exceeded event budget ({events} events)")
             }
@@ -146,6 +150,9 @@ impl From<BuildError> for SimError {
             }
             BuildError::Vm(e) => SimError::Tlb(e),
             BuildError::Manager(e) => SimError::Manager(e),
+            e @ (BuildError::TooManyTiles { .. } | BuildError::AckwiseTooWide { .. }) => {
+                SimError::System(e)
+            }
         }
     }
 }

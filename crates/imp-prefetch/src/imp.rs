@@ -366,8 +366,12 @@ impl Imp {
                 },
             });
             self.stats.indirect_prefetches += 1;
-            self.gp
-                .on_indirect_prefetch(s, LineAddr::containing(target));
+            // The Granularity Predictor's samples only feed `decision`,
+            // which only partial mode reads.
+            if self.partial {
+                self.gp
+                    .on_indirect_prefetch(s, LineAddr::containing(target));
+            }
             self.table.touch(s);
             cur = p.next_way;
         }
@@ -707,11 +711,15 @@ impl L1Prefetcher for Imp {
     }
 
     fn on_eviction(&mut self, line: LineAddr) {
-        self.gp.on_eviction(line);
+        if self.partial {
+            self.gp.on_eviction(line);
+        }
     }
 
     fn on_demand_touch(&mut self, line: LineAddr, sectors: SectorMask) {
-        self.gp.on_demand_touch(line, sectors);
+        if self.partial {
+            self.gp.on_demand_touch(line, sectors);
+        }
     }
 
     fn stats(&self) -> &PrefetcherStats {

@@ -344,6 +344,80 @@ mod tests {
     }
 
     #[test]
+    fn machines_beyond_the_message_format_are_build_errors() {
+        let noop = |cores: usize| {
+            let mut p = Program::new("noop", cores);
+            for c in 0..cores {
+                p.core_mut(c).push(Op::compute(1));
+            }
+            p
+        };
+        // 257 x 257 tiles: one more mesh row and column than 16-bit tile
+        // ids name. Rejected before anything is sized for them.
+        let cfg = SystemConfig::paper_default(257 * 257);
+        match System::try_new(cfg, noop(16), FunctionalMemory::new()) {
+            Err(
+                e @ BuildError::TooManyTiles {
+                    tiles: 66049,
+                    max: 65536,
+                },
+            ) => {
+                assert!(e.to_string().contains("66049 tiles"), "{e}");
+            }
+            other => panic!("expected TooManyTiles, got {:?}", other.err()),
+        }
+        let mut cfg = SystemConfig::paper_default(16);
+        cfg.mem.ackwise_k = imp_coherence::MAX_SHARERS as u32 + 1;
+        assert!(matches!(
+            System::try_new(cfg, noop(16), FunctionalMemory::new()),
+            Err(BuildError::AckwiseTooWide { k: 5, max: 4 })
+        ));
+    }
+
+    /// Transaction conservation: once a run completes, every home
+    /// transaction, waiting request and MSHR has drained, and no
+    /// directory record is left tracking nothing. Each kernel also runs
+    /// with caches shrunk until L1 evictions, writebacks and L2 recalls
+    /// are common (at full size the tiny inputs fit).
+    #[test]
+    fn completed_runs_leave_every_home_and_mshr_quiescent() {
+        use imp_workloads::{by_name, Scale, WorkloadParams};
+        let kernels = [
+            "pagerank",
+            "tri_count",
+            "graph500",
+            "sgd",
+            "lsh",
+            "spmv",
+            "symgs",
+            "dense",
+            "gather2",
+            "hashjoin",
+            "skiplist",
+            "btree",
+        ];
+        for name in kernels {
+            for cores in [16, 64] {
+                let built = by_name(name)
+                    .expect("registered kernel")
+                    .build(&WorkloadParams::new(cores, Scale::Tiny));
+                for (prefetcher, shrink) in [("none", 1), ("imp", 1), ("none", 16), ("imp", 16)] {
+                    let mut cfg =
+                        SystemConfig::paper_default(cores as u32).with_prefetcher(prefetcher);
+                    cfg.mem.l1d.size_bytes /= shrink;
+                    cfg.mem.l2_slice.size_bytes /= shrink;
+                    let mut sys = System::try_new(cfg, built.program.clone(), built.mem.clone())
+                        .expect("valid configuration");
+                    sys.try_run().unwrap_or_else(|e| {
+                        panic!("{name}/{cores}/{prefetcher}/shrink {shrink}: {e}")
+                    });
+                    sys.assert_quiescent();
+                }
+            }
+        }
+    }
+
+    #[test]
     fn barriers_synchronize_cores() {
         // Core 0 computes long, all others wait at the barrier; nobody
         // passes until core 0 arrives.

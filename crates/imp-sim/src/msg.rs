@@ -2,6 +2,9 @@
 
 use imp_common::{LineAddr, SectorMask};
 
+/// Tiles a [`Msg`] can address: tile ids are 16 bits.
+pub const MAX_TILES: u32 = 1 << 16;
+
 /// Message kinds of the simplified MSI + ACKwise protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MsgKind {
@@ -55,23 +58,66 @@ impl MsgKind {
     }
 }
 
-/// One protocol message.
+/// One protocol message, as the event queue stores it: tile ids are
+/// 16 bits (`System::try_new` rejects larger meshes) and the payload
+/// size 32 bits, so a queued event is 24 bytes.
 #[derive(Clone, Copy, Debug)]
 pub struct Msg {
-    /// Message kind.
-    pub kind: MsgKind,
     /// The cache line concerned.
     pub line: LineAddr,
+    /// Payload size in bytes (for NoC flit accounting and DRAM sizing).
+    pub payload_bytes: u32,
     /// Source tile.
-    pub src: u32,
+    pub src: u16,
     /// Destination tile.
-    pub dst: u32,
+    pub dst: u16,
     /// The core whose request started the transaction.
-    pub requester: u32,
+    pub requester: u16,
+    /// Message kind.
+    pub kind: MsgKind,
     /// Requested / carried sectors at L1 (8-byte) granularity.
     pub sectors: SectorMask,
     /// Write intent (GetX) / grants Modified (Data).
     pub exclusive: bool,
-    /// Payload size in bytes (for NoC flit accounting and DRAM sizing).
-    pub payload_bytes: u64,
+}
+
+impl Msg {
+    /// A header-only message about `line` from tile `src` to tile
+    /// `dst`, on behalf of `requester`, carrying no sectors.
+    pub fn new(kind: MsgKind, line: LineAddr, src: u32, dst: u32, requester: u32) -> Self {
+        Msg {
+            line,
+            payload_bytes: 0,
+            src: tile(src),
+            dst: tile(dst),
+            requester: tile(requester),
+            kind,
+            sectors: SectorMask::EMPTY,
+            exclusive: false,
+        }
+    }
+
+    /// This message carrying `sectors`.
+    pub fn sectors(self, sectors: SectorMask) -> Self {
+        Msg { sectors, ..self }
+    }
+
+    /// This message with write intent / a Modified grant.
+    pub fn exclusive(self, exclusive: bool) -> Self {
+        Msg { exclusive, ..self }
+    }
+
+    /// This message with a `bytes`-byte payload.
+    pub fn payload(self, bytes: u64) -> Self {
+        debug_assert!(bytes <= u64::from(u32::MAX));
+        Msg {
+            payload_bytes: bytes as u32,
+            ..self
+        }
+    }
+}
+
+fn tile(id: u32) -> u16 {
+    debug_assert!(id <= u32::from(u16::MAX), "tile {id} has no 16-bit id");
+    id as u16
 }

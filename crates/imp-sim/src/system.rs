@@ -7,10 +7,10 @@
 //! recall L1 copies fire-and-forget (timing-only simplification — data
 //! correctness is carried by the functional memory, not the caches).
 
-use crate::msg::{Msg, MsgKind};
+use crate::msg::{Msg, MsgKind, MAX_TILES};
 use imp_adapt::{EpochTracker, Manager, ManagerError};
 use imp_cache::{AccessOutcome, Evicted, LineState, MshrAlloc, MshrFile, SectoredCache};
-use imp_coherence::{Directory, InvTargets};
+use imp_coherence::{Directory, HomeLine, InvTargets, Request, Txn, MAX_SHARERS};
 use imp_common::config::{
     CoreModel, DramModelKind, MemMode, PartialMode, PrefetcherSpec, WalkModel,
 };
@@ -56,6 +56,21 @@ pub enum BuildError {
     /// The adaptive-manager spec did not resolve (unknown policy or
     /// invalid parameter).
     Manager(ManagerError),
+    /// The mesh has more tiles than a 16-bit tile id can name.
+    TooManyTiles {
+        /// Tiles the configuration describes.
+        tiles: u32,
+        /// The most tiles the simulator supports.
+        max: u32,
+    },
+    /// The directory's ACKwise pointer count is wider than a directory
+    /// record stores inline.
+    AckwiseTooWide {
+        /// The configured `ackwise_k`.
+        k: u32,
+        /// The widest supported `ackwise_k`.
+        max: u32,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -69,6 +84,12 @@ impl fmt::Display for BuildError {
             ),
             BuildError::Vm(e) => write!(f, "{e}"),
             BuildError::Manager(e) => write!(f, "{e}"),
+            BuildError::TooManyTiles { tiles, max } => {
+                write!(f, "{tiles} tiles exceed the simulator's limit of {max}")
+            }
+            BuildError::AckwiseTooWide { k, max } => {
+                write!(f, "ACKwise k={k} exceeds the supported maximum of {max}")
+            }
         }
     }
 }
@@ -171,6 +192,9 @@ enum Event {
     Deliver(Msg),
 }
 
+// The event queue moves events by value; keep them at three words.
+const _: () = assert!(std::mem::size_of::<Event>() == 24);
+
 /// Per-core run state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum CoreRun {
@@ -200,16 +224,6 @@ enum Waiter {
     PerfPref {
         id: u64,
     },
-}
-
-/// An in-flight transaction at a home tile.
-#[derive(Debug)]
-struct Txn {
-    requester: u32,
-    sectors: SectorMask,
-    exclusive: bool,
-    acks_pending: u32,
-    data_ready: bool,
 }
 
 /// Reads index values out of the L1 (IMP can only use values whose lines
@@ -244,9 +258,9 @@ struct Fabric {
     pref: Vec<Box<dyn L1Prefetcher>>,
     pstats: Vec<PrefetchStats>,
     l2: Vec<SectoredCache>,
+    /// Per-home directories: each line's sharers, open transaction and
+    /// waiting requests.
     dir: Vec<Directory>,
-    txns: Vec<FastMap<LineAddr, Txn>>,
-    queued: Vec<FastMap<LineAddr, VecDeque<Msg>>>,
     mesh: Mesh,
     drams: Vec<Box<dyn DramModel>>,
     mc_tiles: Vec<u32>,
@@ -412,24 +426,31 @@ impl Fabric {
     }
 
     fn send(&mut self, msg: Msg, at: Cycle) {
-        let (arrival, _) = self.mesh.send(msg.src, msg.dst, msg.payload_bytes, at);
-        self.queue.push(arrival, Event::Deliver(msg));
+        post(&mut self.mesh, &mut self.queue, msg, at);
     }
 
-    /// Bytes represented by an L1 sector mask under the current
-    /// sectoring (a non-sectored line's single sector is the whole line).
-    fn l1_mask_bytes(&self, c: usize, mask: SectorMask) -> u64 {
-        let sectors = self.l1[c].sectors().max(1);
-        let clipped = mask.intersect(self.l1[c].full_mask());
-        u64::from(clipped.count()) * (LINE_BYTES / u64::from(sectors))
-    }
-
-    /// Bytes represented by an L2 sector mask under the current
-    /// sectoring.
-    fn l2_mask_bytes(&self, h: usize, mask: SectorMask) -> u64 {
-        let sectors = self.l2[h].sectors().max(1);
-        let clipped = mask.intersect(self.l2[h].full_mask());
-        u64::from(clipped.count()) * (LINE_BYTES / u64::from(sectors))
+    /// Sends core `c`'s read (or, if `exclusive`, write) request for
+    /// `sectors` of `line` to the line's home tile.
+    fn send_request(
+        &mut self,
+        c: usize,
+        line: LineAddr,
+        sectors: SectorMask,
+        exclusive: bool,
+        now: Cycle,
+    ) {
+        let kind = if exclusive {
+            MsgKind::GetX
+        } else {
+            MsgKind::GetS
+        };
+        let c = c as u32;
+        self.send(
+            Msg::new(kind, line, c, self.home_of(line), c)
+                .sectors(sectors)
+                .exclusive(exclusive),
+            now,
+        );
     }
 
     fn full_or(&self, partial_sectors: SectorMask) -> SectorMask {
@@ -604,24 +625,7 @@ impl Fabric {
             MshrAlloc::Full => self.pstats[c].mshr_drops += 1,
             MshrAlloc::Merged => {}
             MshrAlloc::MergedNeedsMore(extra) => {
-                let kind = if req.exclusive {
-                    MsgKind::GetX
-                } else {
-                    MsgKind::GetS
-                };
-                self.send(
-                    Msg {
-                        kind,
-                        line,
-                        src: c as u32,
-                        dst: self.home_of(line),
-                        requester: c as u32,
-                        sectors: extra,
-                        exclusive: req.exclusive,
-                        payload_bytes: 0,
-                    },
-                    now,
-                );
+                self.send_request(c, line, extra, req.exclusive, now);
             }
             MshrAlloc::New => {
                 let class = match req.kind {
@@ -646,24 +650,7 @@ impl Fabric {
                 if sectors != self.l1[c].full_mask() {
                     self.pstats[c].partial_prefetches += 1;
                 }
-                let kind = if req.exclusive {
-                    MsgKind::GetX
-                } else {
-                    MsgKind::GetS
-                };
-                self.send(
-                    Msg {
-                        kind,
-                        line,
-                        src: c as u32,
-                        dst: self.home_of(line),
-                        requester: c as u32,
-                        sectors,
-                        exclusive: req.exclusive,
-                        payload_bytes: 0,
-                    },
-                    now,
-                );
+                self.send_request(c, line, sectors, req.exclusive, now);
             }
         }
     }
@@ -704,46 +691,12 @@ impl Fabric {
         match self.mshr[c].alloc(line, fetch, false, waiter) {
             MshrAlloc::Merged => {}
             MshrAlloc::MergedNeedsMore(extra) => {
-                let kind = if is_write {
-                    MsgKind::GetX
-                } else {
-                    MsgKind::GetS
-                };
-                self.send(
-                    Msg {
-                        kind,
-                        line,
-                        src: c as u32,
-                        dst: self.home_of(line),
-                        requester: c as u32,
-                        sectors: extra,
-                        exclusive: is_write,
-                        payload_bytes: 0,
-                    },
-                    now,
-                );
+                self.send_request(c, line, extra, is_write, now);
             }
             MshrAlloc::New | MshrAlloc::Full => {
                 // Demand misses are never structurally refused: the MSHR
                 // file is sized for prefetches; a demand always proceeds.
-                let kind = if is_write {
-                    MsgKind::GetX
-                } else {
-                    MsgKind::GetS
-                };
-                self.send(
-                    Msg {
-                        kind,
-                        line,
-                        src: c as u32,
-                        dst: self.home_of(line),
-                        requester: c as u32,
-                        sectors: fetch,
-                        exclusive: is_write,
-                        payload_bytes: 0,
-                    },
-                    now,
-                );
+                self.send_request(c, line, fetch, is_write, now);
             }
         }
         if is_write {
@@ -810,7 +763,7 @@ impl Fabric {
     }
 
     fn l1_data(&mut self, msg: Msg, now: Cycle) {
-        let c = msg.dst as usize;
+        let c = usize::from(msg.dst);
         let Some(mut entry) = self.mshr[c].complete(msg.line) else {
             return;
         };
@@ -895,71 +848,54 @@ impl Fabric {
         }
         self.pref[c].on_eviction(ev.line);
         if !ev.dirty.is_empty() {
-            let payload = self.l1_mask_bytes(c, ev.dirty);
+            let payload = mask_bytes(&self.l1[c], ev.dirty);
+            let home = self.home_of(ev.line);
             self.send(
-                Msg {
-                    kind: MsgKind::WbL1,
-                    line: ev.line,
-                    src: c as u32,
-                    dst: self.home_of(ev.line),
-                    requester: c as u32,
-                    sectors: ev.dirty,
-                    exclusive: false,
-                    payload_bytes: payload,
-                },
+                Msg::new(MsgKind::WbL1, ev.line, c as u32, home, c as u32)
+                    .sectors(ev.dirty)
+                    .payload(payload),
                 now,
             );
         }
     }
 
     fn l1_inv(&mut self, msg: Msg, now: Cycle) {
-        let c = msg.dst as usize;
-        if let Some(ev) = self.l1[c].invalidate(msg.line) {
-            if ev.prefetched_untouched {
-                self.pstats[c].unused += 1;
-                self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
-                if let Some(m) = self.mgr.as_mut() {
-                    m.ledger.evicted_unused(c as u32, ev.line);
+        let c = usize::from(msg.dst);
+        let dirty = match self.l1[c].invalidate(msg.line) {
+            Some(ev) => {
+                if ev.prefetched_untouched {
+                    self.pstats[c].unused += 1;
+                    self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
+                    if let Some(m) = self.mgr.as_mut() {
+                        m.ledger.evicted_unused(c as u32, ev.line);
+                    }
+                } else if ev.prefetched_touched {
+                    self.pstats[c].useful += 1;
                 }
-            } else if ev.prefetched_touched {
-                self.pstats[c].useful += 1;
+                self.pref[c].on_eviction(ev.line);
+                ev.dirty
             }
-            self.pref[c].on_eviction(ev.line);
-            // Dirty data rides back with the ack conceptually; account
-            // its bytes on the ack message.
-            let payload = self.l1_mask_bytes(c, ev.dirty);
-            self.send(
-                Msg {
-                    kind: MsgKind::InvAck,
-                    line: msg.line,
-                    src: c as u32,
-                    dst: msg.src,
-                    requester: msg.requester,
-                    sectors: ev.dirty,
-                    exclusive: false,
-                    payload_bytes: payload,
-                },
-                now,
-            );
-        } else {
-            self.send(
-                Msg {
-                    kind: MsgKind::InvAck,
-                    line: msg.line,
-                    src: c as u32,
-                    dst: msg.src,
-                    requester: msg.requester,
-                    sectors: SectorMask::EMPTY,
-                    exclusive: false,
-                    payload_bytes: 0,
-                },
-                now,
-            );
-        }
+            None => SectorMask::EMPTY,
+        };
+        // Dirty data rides back with the ack conceptually; account its
+        // bytes on the ack message.
+        let payload = mask_bytes(&self.l1[c], dirty);
+        self.send(
+            Msg::new(
+                MsgKind::InvAck,
+                msg.line,
+                c as u32,
+                msg.src.into(),
+                msg.requester.into(),
+            )
+            .sectors(dirty)
+            .payload(payload),
+            now,
+        );
     }
 
     fn l1_fetch(&mut self, msg: Msg, now: Cycle, invalidate: bool) {
-        let c = msg.dst as usize;
+        let c = usize::from(msg.dst);
         let present = if invalidate {
             let ev = self.l1[c].invalidate(msg.line);
             if let Some(ref e) = ev {
@@ -978,158 +914,17 @@ impl Fabric {
         };
         let payload = if present { LINE_BYTES } else { 0 };
         self.send(
-            Msg {
-                kind: MsgKind::FetchResp,
-                line: msg.line,
-                src: c as u32,
-                dst: msg.src,
-                requester: msg.requester,
-                sectors: SectorMask::FULL_L1,
-                exclusive: invalidate,
-                payload_bytes: payload,
-            },
+            Msg::new(
+                MsgKind::FetchResp,
+                msg.line,
+                c as u32,
+                msg.src.into(),
+                msg.requester.into(),
+            )
+            .sectors(SectorMask::FULL_L1)
+            .exclusive(invalidate)
+            .payload(payload),
             now,
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // Home tile (L2 slice + directory)
-    // ------------------------------------------------------------------
-
-    fn home_request(&mut self, msg: Msg, now: Cycle) {
-        let h = msg.dst as usize;
-        if self.txns[h].contains_key(&msg.line) {
-            self.queued[h].entry(msg.line).or_default().push_back(msg);
-            return;
-        }
-        self.start_txn(msg, now);
-    }
-
-    fn start_txn(&mut self, msg: Msg, now: Cycle) {
-        let h = msg.dst as usize;
-        let line = msg.line;
-        let t = now + self.cfg.mem.l2_slice.latency;
-        let mut txn = Txn {
-            requester: msg.requester,
-            sectors: msg.sectors,
-            exclusive: msg.kind == MsgKind::GetX,
-            acks_pending: 0,
-            data_ready: false,
-        };
-        let owner = self.dir[h].owner(line).filter(|&o| o != msg.requester);
-        if let Some(o) = owner {
-            // Data comes from the current owner.
-            txn.acks_pending = 1;
-            self.send(
-                Msg {
-                    kind: MsgKind::Fetch {
-                        invalidate: txn.exclusive,
-                    },
-                    line,
-                    src: h as u32,
-                    dst: o,
-                    requester: msg.requester,
-                    sectors: SectorMask::FULL_L1,
-                    exclusive: txn.exclusive,
-                    payload_bytes: 0,
-                },
-                t,
-            );
-            self.txns[h].insert(line, txn);
-            return;
-        }
-        if txn.exclusive {
-            let targets = self.dir[h].invalidation_targets(line, Some(msg.requester));
-            if !matches!(targets, InvTargets::None) {
-                let precise = (!targets.is_broadcast()).then(|| targets.count(self.cfg.cores, 1));
-                self.probe.dir_invalidate(h as u32, line, precise, t);
-            }
-            match targets {
-                InvTargets::None => {}
-                InvTargets::Precise(targets) => {
-                    txn.acks_pending = targets.len() as u32;
-                    for c in targets {
-                        self.send(
-                            Msg {
-                                kind: MsgKind::Inv,
-                                line,
-                                src: h as u32,
-                                dst: c,
-                                requester: msg.requester,
-                                sectors: SectorMask::EMPTY,
-                                exclusive: false,
-                                payload_bytes: 0,
-                            },
-                            t,
-                        );
-                    }
-                }
-                InvTargets::Broadcast => {
-                    // ACKwise overflow: invalidate everyone (they all ack).
-                    let n = self.cfg.cores;
-                    txn.acks_pending = n - 1;
-                    for c in (0..n).filter(|&c| c != msg.requester) {
-                        self.send(
-                            Msg {
-                                kind: MsgKind::Inv,
-                                line,
-                                src: h as u32,
-                                dst: c,
-                                requester: msg.requester,
-                                sectors: SectorMask::EMPTY,
-                                exclusive: false,
-                                payload_bytes: 0,
-                            },
-                            t,
-                        );
-                    }
-                }
-            }
-        }
-        self.data_lookup(h, line, &mut txn, t);
-        self.txns[h].insert(line, txn);
-        self.try_complete(h as u32, line, t);
-    }
-
-    fn data_lookup(&mut self, h: usize, line: LineAddr, txn: &mut Txn, t: Cycle) {
-        let l2_need = txn.sectors.widen_to_l2();
-        match self.l2[h].demand_access(line, l2_need, false) {
-            AccessOutcome::Hit { .. } => {
-                txn.data_ready = true;
-            }
-            AccessOutcome::SectorMiss { missing, .. } => {
-                self.dram_fetch(h, line, missing, t);
-            }
-            AccessOutcome::Miss => {
-                let mask = if self.cfg.partial == PartialMode::NocAndDram {
-                    l2_need
-                } else {
-                    SectorMask::FULL_L2
-                };
-                self.dram_fetch(h, line, mask, t);
-            }
-        }
-    }
-
-    fn dram_fetch(&mut self, h: usize, line: LineAddr, l2_mask: SectorMask, t: Cycle) {
-        let l2_mask = if self.cfg.partial == PartialMode::NocAndDram {
-            l2_mask
-        } else {
-            SectorMask::FULL_L2
-        };
-        let mc = mc_for_line(line.number(), self.cfg.mem.mem_controllers);
-        self.send(
-            Msg {
-                kind: MsgKind::MemRead,
-                line,
-                src: h as u32,
-                dst: self.mc_tiles[mc as usize],
-                requester: h as u32,
-                sectors: l2_mask,
-                exclusive: false,
-                payload_bytes: 0,
-            },
-            t,
         );
     }
 
@@ -1137,23 +932,18 @@ impl Fabric {
         let mc = self
             .mc_tiles
             .iter()
-            .position(|&t| t == msg.dst)
+            .position(|&t| t == u32::from(msg.dst))
             .expect("MemRead delivered to a non-MC tile");
         let bytes = u64::from(msg.sectors.count()) * 32;
         let done = self.drams[mc].access(now, msg.line.base().raw(), bytes, false);
         self.traffic.dram_read_bytes += bytes;
         self.traffic.dram_accesses += 1;
+        // Back to the home tile, which sent the read as its own requester.
+        let home = u32::from(msg.requester);
         self.send(
-            Msg {
-                kind: MsgKind::MemReadResp,
-                line: msg.line,
-                src: msg.dst,
-                dst: msg.requester, // the home tile
-                requester: msg.requester,
-                sectors: msg.sectors,
-                exclusive: false,
-                payload_bytes: bytes,
-            },
+            Msg::new(MsgKind::MemReadResp, msg.line, msg.dst.into(), home, home)
+                .sectors(msg.sectors)
+                .payload(bytes),
             done,
         );
     }
@@ -1162,173 +952,31 @@ impl Fabric {
         let mc = self
             .mc_tiles
             .iter()
-            .position(|&t| t == msg.dst)
+            .position(|&t| t == u32::from(msg.dst))
             .expect("MemWrite delivered to a non-MC tile");
-        let bytes = msg.payload_bytes.max(32);
+        let bytes = u64::from(msg.payload_bytes).max(32);
         let _ = self.drams[mc].access(now, msg.line.base().raw(), bytes, true);
         self.traffic.dram_write_bytes += bytes;
         self.traffic.dram_accesses += 1;
     }
 
-    fn home_memdata(&mut self, msg: Msg, now: Cycle) {
-        let h = msg.dst as usize;
-        let evicted = self.l2[h].fill(msg.line, msg.sectors, LineState::Shared, false);
-        if let Some(ev) = evicted {
-            self.l2_evicted(h, ev, now);
-        }
-        if let Some(txn) = self.txns[h].get_mut(&msg.line) {
-            txn.data_ready = true;
-        }
-        self.try_complete(h as u32, msg.line, now);
-    }
-
-    fn l2_evicted(&mut self, h: usize, ev: Evicted, now: Cycle) {
-        // Recall any L1 copies (fire-and-forget; acks are ignored for
-        // lines without transactions).
-        let targets = self.dir[h].invalidation_targets(ev.line, None);
-        if !matches!(targets, InvTargets::None) {
-            let precise = (!targets.is_broadcast()).then(|| targets.count(self.cfg.cores, 0));
-            self.probe.dir_invalidate(h as u32, ev.line, precise, now);
-        }
-        match targets {
-            InvTargets::None => {}
-            InvTargets::Precise(targets) => {
-                for c in targets {
-                    self.send(
-                        Msg {
-                            kind: MsgKind::Inv,
-                            line: ev.line,
-                            src: h as u32,
-                            dst: c,
-                            requester: h as u32,
-                            sectors: SectorMask::EMPTY,
-                            exclusive: false,
-                            payload_bytes: 0,
-                        },
-                        now,
-                    );
-                }
-            }
-            InvTargets::Broadcast => {
-                for c in 0..self.cfg.cores {
-                    self.send(
-                        Msg {
-                            kind: MsgKind::Inv,
-                            line: ev.line,
-                            src: h as u32,
-                            dst: c,
-                            requester: h as u32,
-                            sectors: SectorMask::EMPTY,
-                            exclusive: false,
-                            payload_bytes: 0,
-                        },
-                        now,
-                    );
-                }
-            }
-        }
-        self.dir[h].clear(ev.line);
-        if !ev.dirty.is_empty() || ev.state == LineState::Modified {
-            let bytes = if ev.dirty.is_empty() {
-                LINE_BYTES
-            } else {
-                self.l2_mask_bytes(h, ev.dirty)
-            };
-            let mc = mc_for_line(ev.line.number(), self.cfg.mem.mem_controllers);
-            self.send(
-                Msg {
-                    kind: MsgKind::MemWrite,
-                    line: ev.line,
-                    src: h as u32,
-                    dst: self.mc_tiles[mc as usize],
-                    requester: h as u32,
-                    sectors: ev.dirty,
-                    exclusive: false,
-                    payload_bytes: bytes,
-                },
-                now,
-            );
-        }
-    }
-
-    fn home_fetchresp(&mut self, msg: Msg, now: Cycle) {
-        let h = msg.dst as usize;
-        let owner = msg.src;
-        if msg.payload_bytes > 0 {
-            let evicted = self.l2[h].fill(msg.line, SectorMask::FULL_L2, LineState::Shared, false);
-            if let Some(ev) = evicted {
-                self.l2_evicted(h, ev, now);
-            }
-            self.l2[h].mark_dirty(msg.line, SectorMask::FULL_L2);
-        }
-        if msg.exclusive {
-            // Owner invalidated (write request).
-            self.dir[h].remove(msg.line, owner);
-        } else {
-            // Owner downgraded to Shared: Modified(o) -> Shared{o}.
-            self.dir[h].add_sharer(msg.line, owner);
-        }
-        if let Some(txn) = self.txns[h].get_mut(&msg.line) {
-            txn.acks_pending = txn.acks_pending.saturating_sub(1);
-            txn.data_ready = true;
-        }
-        self.try_complete(h as u32, msg.line, now);
-    }
-
-    fn home_invack(&mut self, msg: Msg, now: Cycle) {
-        let h = msg.dst as usize;
-        self.dir[h].remove(msg.line, msg.src);
-        if let Some(txn) = self.txns[h].get_mut(&msg.line) {
-            txn.acks_pending = txn.acks_pending.saturating_sub(1);
-        }
-        self.try_complete(h as u32, msg.line, now);
-    }
-
-    fn home_wb(&mut self, msg: Msg, now: Cycle) {
-        let h = msg.dst as usize;
-        let l2_mask = msg.sectors.widen_to_l2();
-        let evicted = self.l2[h].fill(msg.line, l2_mask, LineState::Shared, false);
-        if let Some(ev) = evicted {
-            self.l2_evicted(h, ev, now);
-        }
-        self.l2[h].mark_dirty(msg.line, l2_mask);
-        self.dir[h].remove(msg.line, msg.src);
-    }
-
-    fn try_complete(&mut self, home: u32, line: LineAddr, at: Cycle) {
-        let h = home as usize;
-        let ready = match self.txns[h].get(&line) {
-            Some(t) => t.acks_pending == 0 && t.data_ready,
-            None => false,
-        };
-        if !ready {
-            return;
-        }
-        let txn = self.txns[h].remove(&line).expect("txn present");
-        if txn.exclusive {
-            self.dir[h].set_modified(line, txn.requester);
-        } else {
-            self.dir[h].add_sharer(line, txn.requester);
-        }
-        let payload = self.l1_mask_bytes(txn.requester as usize, txn.sectors);
-        self.send(
-            Msg {
-                kind: MsgKind::Data,
-                line,
-                src: home,
-                dst: txn.requester,
-                requester: txn.requester,
-                sectors: txn.sectors,
-                exclusive: txn.exclusive,
-                payload_bytes: payload,
+    /// Home tile `h`'s directory, and the rest of what its handlers
+    /// touch, borrowed apart so a directory record can stay borrowed
+    /// for a whole message.
+    fn home(&mut self, h: usize) -> (&mut Directory, Home<'_>) {
+        (
+            &mut self.dir[h],
+            Home {
+                h: h as u32,
+                cfg: &self.cfg,
+                mesh: &mut self.mesh,
+                queue: &mut self.queue,
+                l2: &mut self.l2[h],
+                l1: &self.l1,
+                probe: &self.probe,
+                mc_tiles: &self.mc_tiles,
             },
-            at,
-        );
-        // Serve the next queued request for this line.
-        let next = self.queued[h].get_mut(&line).and_then(VecDeque::pop_front);
-        if let Some(next) = next {
-            self.start_txn(next, at);
-        }
+        )
     }
 
     fn handle_msg(&mut self, msg: Msg, now: Cycle) {
@@ -1341,19 +989,274 @@ impl Fabric {
             msg.kind,
             MsgKind::GetS | MsgKind::GetX | MsgKind::InvAck | MsgKind::FetchResp | MsgKind::WbL1
         ) {
-            self.probe.coh_msg(msg.dst, msg.kind.code(), msg.line, now);
+            self.probe
+                .coh_msg(msg.dst.into(), msg.kind.code(), msg.line, now);
         }
         match msg.kind {
-            MsgKind::GetS | MsgKind::GetX => self.home_request(msg, now),
             MsgKind::Data => self.l1_data(msg, now),
             MsgKind::Inv => self.l1_inv(msg, now),
-            MsgKind::InvAck => self.home_invack(msg, now),
             MsgKind::Fetch { invalidate } => self.l1_fetch(msg, now, invalidate),
-            MsgKind::FetchResp => self.home_fetchresp(msg, now),
-            MsgKind::WbL1 => self.home_wb(msg, now),
             MsgKind::MemRead => self.mc_read(msg, now),
-            MsgKind::MemReadResp => self.home_memdata(msg, now),
             MsgKind::MemWrite => self.mc_write(msg, now),
+            MsgKind::GetS
+            | MsgKind::GetX
+            | MsgKind::InvAck
+            | MsgKind::FetchResp
+            | MsgKind::WbL1
+            | MsgKind::MemReadResp => {
+                let (dir, mut home) = self.home(usize::from(msg.dst));
+                home.handle(dir, msg, now);
+            }
+        }
+    }
+}
+
+/// Queues `msg` for delivery when the mesh gets it to its destination.
+fn post(mesh: &mut Mesh, queue: &mut EventQueue<Event>, msg: Msg, at: Cycle) {
+    let (arrival, _) = mesh.send(msg.src.into(), msg.dst.into(), msg.payload_bytes.into(), at);
+    queue.push(arrival, Event::Deliver(msg));
+}
+
+/// Bytes represented by a sector mask of `cache` under its sectoring (a
+/// non-sectored line's single sector is the whole line).
+fn mask_bytes(cache: &SectoredCache, mask: SectorMask) -> u64 {
+    let sectors = cache.sectors().max(1);
+    let clipped = mask.intersect(cache.full_mask());
+    u64::from(clipped.count()) * (LINE_BYTES / u64::from(sectors))
+}
+
+/// A home tile (L2 slice + directory) at work on one message: everything
+/// its handlers touch except the directory, which each handler takes
+/// as an argument and looks a line up in once.
+struct Home<'a> {
+    h: u32,
+    cfg: &'a SystemConfig,
+    mesh: &'a mut Mesh,
+    queue: &'a mut EventQueue<Event>,
+    l2: &'a mut SectoredCache,
+    l1: &'a [SectoredCache],
+    probe: &'a Probe,
+    mc_tiles: &'a [u32],
+}
+
+impl Home<'_> {
+    fn send(&mut self, msg: Msg, at: Cycle) {
+        post(self.mesh, self.queue, msg, at);
+    }
+
+    fn handle(&mut self, dir: &mut Directory, msg: Msg, now: Cycle) {
+        let line = msg.line;
+        match msg.kind {
+            MsgKind::GetS | MsgKind::GetX => {
+                let req = Request {
+                    requester: msg.requester,
+                    sectors: msg.sectors,
+                    exclusive: msg.kind == MsgKind::GetX,
+                };
+                dir.with_line(line, |d| {
+                    if d.txn().is_some() {
+                        d.enqueue(req);
+                    } else {
+                        self.start_txn(d, line, req, now);
+                    }
+                });
+            }
+            MsgKind::MemReadResp => {
+                self.fill(dir, line, msg.sectors, now);
+                dir.with_line(line, |d| {
+                    if let Some(txn) = d.txn() {
+                        txn.data_ready = true;
+                    }
+                    self.try_complete(d, line, now);
+                });
+            }
+            MsgKind::FetchResp => {
+                if msg.payload_bytes > 0 {
+                    self.fill(dir, line, SectorMask::FULL_L2, now);
+                    self.l2.mark_dirty(line, SectorMask::FULL_L2);
+                }
+                let owner = u32::from(msg.src);
+                dir.with_line(line, |d| {
+                    if msg.exclusive {
+                        // Owner invalidated (write request).
+                        d.remove(owner);
+                    } else {
+                        // Owner downgraded to Shared: Modified(o) -> Shared{o}.
+                        d.add_sharer(owner);
+                    }
+                    if let Some(txn) = d.txn() {
+                        txn.acks_pending = txn.acks_pending.saturating_sub(1);
+                        txn.data_ready = true;
+                    }
+                    self.try_complete(d, line, now);
+                });
+            }
+            MsgKind::InvAck => dir.with_line(line, |d| {
+                d.remove(msg.src.into());
+                if let Some(txn) = d.txn() {
+                    txn.acks_pending = txn.acks_pending.saturating_sub(1);
+                }
+                self.try_complete(d, line, now);
+            }),
+            MsgKind::WbL1 => {
+                let l2_mask = msg.sectors.widen_to_l2();
+                self.fill(dir, line, l2_mask, now);
+                self.l2.mark_dirty(line, l2_mask);
+                dir.remove(line, msg.src.into());
+            }
+            _ => unreachable!("{:?} is not home-bound", msg.kind),
+        }
+    }
+
+    fn start_txn(&mut self, d: &mut HomeLine<'_>, line: LineAddr, req: Request, now: Cycle) {
+        let t = now + self.cfg.mem.l2_slice.latency;
+        let mut txn = Txn::new(req);
+        let requester = u32::from(req.requester);
+        if let Some(o) = d.owner().filter(|&o| o != requester) {
+            // Data comes from the current owner.
+            txn.acks_pending = 1;
+            let fetch = MsgKind::Fetch {
+                invalidate: req.exclusive,
+            };
+            self.send(
+                Msg::new(fetch, line, self.h, o, requester)
+                    .sectors(SectorMask::FULL_L1)
+                    .exclusive(req.exclusive),
+                t,
+            );
+            d.open(txn);
+            return;
+        }
+        if req.exclusive {
+            let targets = d.invalidation_targets(Some(requester));
+            let sent = self.invalidate(line, targets, Some(requester), t);
+            txn.acks_pending = u16::try_from(sent).expect("one ack per other tile");
+        }
+        let l2_need = req.sectors.widen_to_l2();
+        match self.l2.demand_access(line, l2_need, false) {
+            AccessOutcome::Hit { .. } => txn.data_ready = true,
+            AccessOutcome::SectorMiss { missing, .. } => self.dram_fetch(line, missing, t),
+            AccessOutcome::Miss => self.dram_fetch(line, l2_need, t),
+        }
+        d.open(txn);
+        self.try_complete(d, line, t);
+    }
+
+    /// Sends `Inv` for `line` to `targets` at `t`, returning how many
+    /// went out. `requester` is the core being granted exclusive access,
+    /// whom a broadcast skips; `None` is the home's own recall.
+    fn invalidate(
+        &mut self,
+        line: LineAddr,
+        targets: InvTargets,
+        requester: Option<u32>,
+        t: Cycle,
+    ) -> u32 {
+        let sent = targets.count(self.cfg.cores, u32::from(requester.is_some()));
+        if targets != InvTargets::None {
+            let precise = (!targets.is_broadcast()).then_some(sent);
+            self.probe.dir_invalidate(self.h, line, precise, t);
+        }
+        let from = requester.unwrap_or(self.h);
+        match targets {
+            InvTargets::None => {}
+            InvTargets::Precise(cores) => {
+                for c in cores.iter() {
+                    self.send(Msg::new(MsgKind::Inv, line, self.h, c, from), t);
+                }
+            }
+            // ACKwise overflow: invalidate everyone (they all ack).
+            InvTargets::Broadcast => {
+                for c in (0..self.cfg.cores).filter(|&c| Some(c) != requester) {
+                    self.send(Msg::new(MsgKind::Inv, line, self.h, c, from), t);
+                }
+            }
+        }
+        sent
+    }
+
+    fn dram_fetch(&mut self, line: LineAddr, l2_mask: SectorMask, t: Cycle) {
+        let l2_mask = if self.cfg.partial == PartialMode::NocAndDram {
+            l2_mask
+        } else {
+            SectorMask::FULL_L2
+        };
+        let mc = mc_for_line(line.number(), self.cfg.mem.mem_controllers);
+        self.send(
+            Msg::new(
+                MsgKind::MemRead,
+                line,
+                self.h,
+                self.mc_tiles[mc as usize],
+                self.h,
+            )
+            .sectors(l2_mask),
+            t,
+        );
+    }
+
+    /// Completes the line's transaction if its acks and data are all
+    /// in, then starts the next request waiting behind it.
+    fn try_complete(&mut self, d: &mut HomeLine<'_>, line: LineAddr, at: Cycle) {
+        if !d.txn().is_some_and(|t| t.is_ready()) {
+            return;
+        }
+        let req = d.close().expect("checked above").req;
+        let requester = u32::from(req.requester);
+        if req.exclusive {
+            d.set_modified(requester);
+        } else {
+            d.add_sharer(requester);
+        }
+        let payload = mask_bytes(&self.l1[usize::from(req.requester)], req.sectors);
+        self.send(
+            Msg::new(MsgKind::Data, line, self.h, requester, requester)
+                .sectors(req.sectors)
+                .exclusive(req.exclusive)
+                .payload(payload),
+            at,
+        );
+        if let Some(next) = d.dequeue() {
+            self.start_txn(d, line, next, at);
+        }
+    }
+
+    /// Fills `mask` of `line` into the L2 slice, recalling whatever the
+    /// fill evicts.
+    fn fill(&mut self, dir: &mut Directory, line: LineAddr, mask: SectorMask, now: Cycle) {
+        if let Some(ev) = self.l2.fill(line, mask, LineState::Shared, false) {
+            self.l2_evicted(dir, ev, now);
+        }
+    }
+
+    fn l2_evicted(&mut self, dir: &mut Directory, ev: Evicted, now: Cycle) {
+        // Recall any L1 copies (fire-and-forget; acks are ignored for
+        // lines without transactions).
+        let targets = dir.with_line(ev.line, |d| {
+            let targets = d.invalidation_targets(None);
+            d.clear();
+            targets
+        });
+        self.invalidate(ev.line, targets, None, now);
+        if !ev.dirty.is_empty() || ev.state == LineState::Modified {
+            let bytes = if ev.dirty.is_empty() {
+                LINE_BYTES
+            } else {
+                mask_bytes(self.l2, ev.dirty)
+            };
+            let mc = mc_for_line(ev.line.number(), self.cfg.mem.mem_controllers);
+            self.send(
+                Msg::new(
+                    MsgKind::MemWrite,
+                    ev.line,
+                    self.h,
+                    self.mc_tiles[mc as usize],
+                    self.h,
+                )
+                .sectors(ev.dirty)
+                .payload(bytes),
+                now,
+            );
         }
     }
 }
@@ -1392,11 +1295,8 @@ impl WalkMemory for Fabric {
                 self.traffic.dram_accesses += 1;
                 self.traffic.noc_messages += 1;
                 let (back, _) = self.mesh.send(mc_tile, home, LINE_BYTES, fetched);
-                if let Some(ev) =
-                    self.l2[h].fill(line, SectorMask::FULL_L2, LineState::Shared, false)
-                {
-                    self.l2_evicted(h, ev, back);
-                }
+                let (dir, mut home) = self.home(h);
+                home.fill(dir, line, SectorMask::FULL_L2, back);
                 back
             }
         };
@@ -1428,19 +1328,7 @@ impl MemPort for Fabric {
                     if let MshrAlloc::New =
                         self.mshr[c].alloc(line, SectorMask::FULL_L1, true, Waiter::PerfPref { id })
                     {
-                        self.send(
-                            Msg {
-                                kind: MsgKind::GetS,
-                                line,
-                                src: core,
-                                dst: self.home_of(line),
-                                requester: core,
-                                sectors: SectorMask::FULL_L1,
-                                exclusive: false,
-                                payload_bytes: 0,
-                            },
-                            now,
-                        );
+                        self.send_request(c, line, SectorMask::FULL_L1, false, now);
                     }
                 }
                 // Throttle: never run more than `lead` cycles past the
@@ -1487,19 +1375,7 @@ impl MemPort for Fabric {
             self.mshr[c].alloc(line, SectorMask::FULL_L1, true, Waiter::SwPrefetch)
         {
             self.pstats[c].issued_stream += 1;
-            self.send(
-                Msg {
-                    kind: MsgKind::GetS,
-                    line,
-                    src: core,
-                    dst: self.home_of(line),
-                    requester: core,
-                    sectors: SectorMask::FULL_L1,
-                    exclusive: false,
-                    payload_bytes: 0,
-                },
-                now,
-            );
+            self.send_request(c, line, SectorMask::FULL_L1, false, now);
         }
     }
 }
@@ -1580,6 +1456,18 @@ impl System {
         mem: FunctionalMemory,
         huge_regions: &[(u64, u64)],
     ) -> Result<Self, BuildError> {
+        if cfg.cores > MAX_TILES {
+            return Err(BuildError::TooManyTiles {
+                tiles: cfg.cores,
+                max: MAX_TILES,
+            });
+        }
+        if cfg.mem.ackwise_k > MAX_SHARERS as u32 {
+            return Err(BuildError::AckwiseTooWide {
+                k: cfg.mem.ackwise_k,
+                max: MAX_SHARERS as u32,
+            });
+        }
         if program.cores() != cfg.cores as usize {
             return Err(BuildError::CoreCountMismatch {
                 program: program.cores(),
@@ -1706,8 +1594,6 @@ impl System {
             dir: (0..n)
                 .map(|_| Directory::new(cfg.mem.ackwise_k as usize, cfg.cores))
                 .collect(),
-            txns: (0..n).map(|_| FastMap::default()).collect(),
-            queued: (0..n).map(|_| FastMap::default()).collect(),
             mesh: Mesh::new(side, cfg.mem.hop_latency, cfg.mem.flit_bytes),
             drams,
             mc_tiles: mc_tiles(side, cfg.mem.mem_controllers),
@@ -1848,6 +1734,22 @@ impl System {
             }
         }
         Ok(self.collect_stats())
+    }
+
+    /// Panics unless the system is quiescent, as it must be once
+    /// [`System::try_run`] returns `Ok`: no home record holds an open
+    /// transaction or a waiting request, no MSHR is allocated, and no
+    /// directory record is left tracking nothing.
+    #[cfg(test)]
+    pub(crate) fn assert_quiescent(&self) {
+        for (h, d) in self.fab.dir.iter().enumerate() {
+            assert_eq!(d.open_transactions(), 0, "open transactions at home {h}");
+            assert_eq!(d.waiting_requests(), 0, "waiting requests at home {h}");
+            assert_eq!(d.idle_records(), 0, "idle records at home {h}");
+        }
+        for (c, m) in self.fab.mshr.iter().enumerate() {
+            assert!(m.is_empty(), "{} MSHRs allocated at core {c}", m.len());
+        }
     }
 
     /// Events processed by the most recent [`System::try_run`] /

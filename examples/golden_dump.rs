@@ -2,58 +2,13 @@
 //!
 //! Used to verify that simulator-kernel refactors stay bit-identical:
 //! run it before and after a change and diff the output.
+//! `tests/golden_dump.rs` pins the same grid by digest.
 
-use imp::prelude::*;
+#[path = "../tests/golden/cells.rs"]
+mod golden;
 
 fn main() {
-    let mut cells: Vec<(String, Sim)> = Vec::new();
-    for w in ["spmv", "pagerank", "graph500"] {
-        for p in ["none", "stream", "imp"] {
-            cells.push((
-                format!("{w}/{p}"),
-                Sim::workload(w).scale(Scale::Tiny).cores(16).prefetcher(p),
-            ));
-        }
-    }
-    cells.push((
-        "spmv/imp/ooo".into(),
-        Sim::workload("spmv")
-            .scale(Scale::Tiny)
-            .cores(16)
-            .prefetcher("imp")
-            .core_model(CoreModel::OutOfOrder),
-    ));
-    cells.push((
-        "pagerank/imp/tlb".into(),
-        Sim::workload("pagerank")
-            .scale(Scale::Tiny)
-            .cores(16)
-            .prefetcher("imp")
-            .tlb_ways(2)
-            .page_size(4096)
-            .translation_policy(TranslationPolicy::DropOnMiss),
-    ));
-    cells.push((
-        "pagerank/imp/l2tlb-walk".into(),
-        Sim::workload("pagerank")
-            .scale(Scale::Tiny)
-            .cores(16)
-            .prefetcher("imp")
-            .tlb(TlbConfig::finite())
-            .l2_tlb(64, 4)
-            .tlb_prefetch(true)
-            .walk_model(WalkModel::Cached)
-            .translation_policy(TranslationPolicy::DropOnMiss),
-    ));
-    cells.push((
-        "lsh/imp/partial".into(),
-        Sim::workload("lsh")
-            .scale(Scale::Tiny)
-            .cores(16)
-            .prefetcher("imp")
-            .partial(PartialMode::NocAndDram),
-    ));
-    for (name, sim) in cells {
+    for (name, sim) in golden::cells() {
         let stats = sim.run().unwrap();
         println!("=== {name} ===");
         println!("{stats:?}");

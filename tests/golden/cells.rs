@@ -1,0 +1,58 @@
+//! The `golden_dump` grid: a diverse set of small cells whose full
+//! `SystemStats` pin the simulator's behaviour. Shared by
+//! `examples/golden_dump.rs`, which prints each cell's statistics, and
+//! `tests/golden_dump.rs`, which checks their digests.
+
+use imp::prelude::*;
+
+/// Every cell of the grid, named, in print order.
+pub fn cells() -> Vec<(String, Sim)> {
+    let mut cells: Vec<(String, Sim)> = Vec::new();
+    for w in ["spmv", "pagerank", "graph500"] {
+        for p in ["none", "stream", "imp"] {
+            cells.push((
+                format!("{w}/{p}"),
+                Sim::workload(w).scale(Scale::Tiny).cores(16).prefetcher(p),
+            ));
+        }
+    }
+    cells.push((
+        "spmv/imp/ooo".into(),
+        Sim::workload("spmv")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp")
+            .core_model(CoreModel::OutOfOrder),
+    ));
+    cells.push((
+        "pagerank/imp/tlb".into(),
+        Sim::workload("pagerank")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp")
+            .tlb_ways(2)
+            .page_size(4096)
+            .translation_policy(TranslationPolicy::DropOnMiss),
+    ));
+    cells.push((
+        "pagerank/imp/l2tlb-walk".into(),
+        Sim::workload("pagerank")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp")
+            .tlb(TlbConfig::finite())
+            .l2_tlb(64, 4)
+            .tlb_prefetch(true)
+            .walk_model(WalkModel::Cached)
+            .translation_policy(TranslationPolicy::DropOnMiss),
+    ));
+    cells.push((
+        "lsh/imp/partial".into(),
+        Sim::workload("lsh")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp")
+            .partial(PartialMode::NocAndDram),
+    ));
+    cells
+}
