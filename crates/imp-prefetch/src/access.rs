@@ -4,6 +4,7 @@ use crate::feedback::{Control, Feedback};
 use imp_common::stats::AccessClass;
 use imp_common::{Addr, FastMap, LineAddr, Pc, SectorMask};
 use imp_obs::CoreProbe;
+use std::ops::AddAssign;
 
 /// One L1 access as observed by a prefetcher snooping the cache
 /// (Figure 3: IMP sees both the access stream and the miss stream).
@@ -85,11 +86,6 @@ pub enum PrefetchKind {
 }
 
 impl PrefetchKind {
-    /// Pre-rename alias for [`PrefetchKind::Sequential`].
-    #[deprecated(note = "renamed to `PrefetchKind::Sequential`")]
-    #[allow(non_upper_case_globals)]
-    pub const Stream: PrefetchKind = PrefetchKind::Sequential;
-
     /// The request's 1-based chain hop (0 for sequential prefetches,
     /// which trail the demand stream rather than chasing values).
     pub fn hop(self) -> u8 {
@@ -208,30 +204,35 @@ pub struct PrefetcherStats {
     /// Deferred indirect prefetches successfully retried after their
     /// index line filled.
     pub deferred_retries: u64,
-    /// Prefetches refused by a full MSHR file (set by the simulator).
-    pub mshr_drops: u64,
     /// Translation-only chain-ahead requests emitted at the depth-k
     /// data frontier (one hop beyond the deepest data prefetch).
     pub translation_ahead: u64,
-    /// Diagnostic: index-stream accesses seen as continued+established.
-    pub dbg_continued: u64,
-    /// Diagnostic: of those, accesses whose own value was unreadable.
-    pub dbg_own_value_miss: u64,
-    /// Diagnostic: of those, accesses with an enabled indirect pattern.
-    pub dbg_enabled: u64,
-    /// Diagnostic: of those, accesses with prefetching active.
-    pub dbg_prefetching: u64,
+}
+
+/// Field-by-field sum: the one place counters from several models
+/// (hybrid components, or models replaced mid-run) are merged.
+impl AddAssign<&PrefetcherStats> for PrefetcherStats {
+    fn add_assign(&mut self, rhs: &PrefetcherStats) {
+        self.stream_prefetches += rhs.stream_prefetches;
+        self.indirect_prefetches += rhs.indirect_prefetches;
+        self.patterns_detected += rhs.patterns_detected;
+        self.detect_failures += rhs.detect_failures;
+        self.ways_detected += rhs.ways_detected;
+        self.levels_detected += rhs.levels_detected;
+        self.partial_prefetches += rhs.partial_prefetches;
+        self.value_unavailable += rhs.value_unavailable;
+        self.deferred_drops += rhs.deferred_drops;
+        self.deferred_retries += rhs.deferred_retries;
+        self.translation_ahead += rhs.translation_ahead;
+    }
 }
 
 /// Everything a prefetcher hook may touch, bundled so the hot path
 /// stays allocation-free: the caller-owned request buffer, the
 /// triggering PC, the access class of the triggering request, a value
-/// source for index reads, and an observability handle.
-///
-/// This folds the old `on_access`/`*_collect` dual surface into one
-/// context type: callers build a `PrefetchCtx` over their pooled
-/// buffer and hand it to [`L1Prefetcher::on_access_ctx`] /
-/// [`L1Prefetcher::on_prefetch_fill_ctx`].
+/// source for index reads, and an observability handle. Callers build
+/// one over their pooled buffer and hand it to
+/// [`L1Prefetcher::on_access_ctx`] / [`L1Prefetcher::on_prefetch_fill_ctx`].
 pub struct PrefetchCtx<'a> {
     /// PC of the access or request that triggered this hook.
     pub pc: Pc,
@@ -289,15 +290,21 @@ pub fn class_of(kind: PrefetchKind) -> AccessClass {
 /// demand access, and reusing one buffer across accesses keeps the hot
 /// path allocation-free.
 ///
-/// # Which hooks to implement
+/// [`on_access_ctx`] and [`stats`] are required; every other hook
+/// defaults to doing nothing. A type that implements only `stats` is
+/// rejected at compile time:
 ///
-/// Implement **exactly one** of [`on_access_ctx`] (preferred) or the
-/// deprecated [`on_access`]: each one's default forwards to the other,
-/// so a type overriding neither recurses. Existing plugins that
-/// implement the pre-context hooks (`on_access`, `on_prefetch_fill`)
-/// keep compiling and keep working — the simulator calls the `_ctx`
-/// hooks, whose defaults forward to the old signatures — but get a
-/// deprecation warning nudging them toward the context form.
+/// ```compile_fail,E0046
+/// use imp_prefetch::{L1Prefetcher, PrefetcherStats};
+///
+/// struct StatsOnly(PrefetcherStats);
+///
+/// impl L1Prefetcher for StatsOnly {
+///     fn stats(&self) -> &PrefetcherStats {
+///         &self.0
+///     }
+/// }
+/// ```
 ///
 /// # Feedback
 ///
@@ -306,22 +313,18 @@ pub fn class_of(kind: PrefetchKind) -> AccessClass {
 /// throttling via [`Control`]. The default ignores feedback.
 ///
 /// [`on_access_ctx`]: L1Prefetcher::on_access_ctx
-/// [`on_access`]: L1Prefetcher::on_access
+/// [`stats`]: L1Prefetcher::stats
 /// [`on_feedback`]: L1Prefetcher::on_feedback
 pub trait L1Prefetcher {
     /// Observes one demand access (hit or miss), pushing any prefetches
     /// to issue onto `ctx.out` (which is not cleared first).
-    fn on_access_ctx(&mut self, access: Access, ctx: &mut PrefetchCtx<'_>) {
-        #[allow(deprecated)] // forwards to the legacy hook for old plugins
-        self.on_access(access, ctx.values, ctx.out);
-    }
+    fn on_access_ctx(&mut self, access: Access, ctx: &mut PrefetchCtx<'_>);
 
     /// Notifies that a previously issued prefetch has filled the L1,
     /// pushing any follow-on prefetches (multi-level indirection) onto
     /// `ctx.out`.
     fn on_prefetch_fill_ctx(&mut self, request: PrefetchRequest, ctx: &mut PrefetchCtx<'_>) {
-        #[allow(deprecated)] // forwards to the legacy hook for old plugins
-        self.on_prefetch_fill(request, ctx.values, ctx.out);
+        let _ = (request, ctx);
     }
 
     /// Receives one epoch's [`Feedback`] digest from the adaptive
@@ -332,65 +335,6 @@ pub trait L1Prefetcher {
     fn on_feedback(&mut self, feedback: &Feedback) -> Control {
         let _ = feedback;
         Control::none()
-    }
-
-    /// Legacy demand-access hook.
-    #[deprecated(note = "implement `on_access_ctx(access, &mut PrefetchCtx)` instead")]
-    fn on_access(
-        &mut self,
-        access: Access,
-        values: &mut dyn IndexValueSource,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        let probe = CoreProbe::disabled();
-        let mut ctx = PrefetchCtx::new(access.pc, AccessClass::Other, values, out, &probe);
-        self.on_access_ctx(access, &mut ctx);
-    }
-
-    /// Legacy fill hook. Unlike [`L1Prefetcher::on_access`] this does
-    /// **not** forward to the context form (its historical default was
-    /// a no-op, and forwarding both ways would recurse); new code
-    /// should call and implement [`L1Prefetcher::on_prefetch_fill_ctx`].
-    #[deprecated(note = "implement `on_prefetch_fill_ctx(request, &mut PrefetchCtx)` instead")]
-    fn on_prefetch_fill(
-        &mut self,
-        request: PrefetchRequest,
-        values: &mut dyn IndexValueSource,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        let _ = (request, values, out);
-    }
-
-    /// [`L1Prefetcher::on_access_ctx`], collecting into a fresh `Vec`.
-    #[deprecated(note = "build a `PrefetchCtx` over your own buffer and call `on_access_ctx`")]
-    fn on_access_collect(
-        &mut self,
-        access: Access,
-        values: &mut dyn IndexValueSource,
-    ) -> Vec<PrefetchRequest> {
-        let mut out = Vec::new();
-        let probe = CoreProbe::disabled();
-        let mut ctx = PrefetchCtx::new(access.pc, AccessClass::Other, values, &mut out, &probe);
-        self.on_access_ctx(access, &mut ctx);
-        out
-    }
-
-    /// [`L1Prefetcher::on_prefetch_fill_ctx`], collecting into a fresh
-    /// `Vec`.
-    #[deprecated(
-        note = "build a `PrefetchCtx` over your own buffer and call `on_prefetch_fill_ctx`"
-    )]
-    fn on_prefetch_fill_collect(
-        &mut self,
-        request: PrefetchRequest,
-        values: &mut dyn IndexValueSource,
-    ) -> Vec<PrefetchRequest> {
-        let mut out = Vec::new();
-        let probe = CoreProbe::disabled();
-        let mut ctx =
-            PrefetchCtx::new(request.pc, class_of(request.kind), values, &mut out, &probe);
-        self.on_prefetch_fill_ctx(request, &mut ctx);
-        out
     }
 
     /// Notifies that the L1 evicted `line` (feeds the Granularity
@@ -408,6 +352,39 @@ pub trait L1Prefetcher {
     /// Statistics snapshot.
     fn stats(&self) -> &PrefetcherStats;
 }
+
+/// Test shorthand for driving a prefetcher without a simulator: run a
+/// hook over a fresh buffer and return what it emitted.
+#[cfg(test)]
+pub(crate) trait CollectExt: L1Prefetcher {
+    fn on_access_collect(
+        &mut self,
+        access: Access,
+        values: &mut dyn IndexValueSource,
+    ) -> Vec<PrefetchRequest> {
+        let mut out = Vec::new();
+        let probe = CoreProbe::disabled();
+        let mut ctx = PrefetchCtx::new(access.pc, AccessClass::Other, values, &mut out, &probe);
+        self.on_access_ctx(access, &mut ctx);
+        out
+    }
+
+    fn on_prefetch_fill_collect(
+        &mut self,
+        request: PrefetchRequest,
+        values: &mut dyn IndexValueSource,
+    ) -> Vec<PrefetchRequest> {
+        let mut out = Vec::new();
+        let probe = CoreProbe::disabled();
+        let mut ctx =
+            PrefetchCtx::new(request.pc, class_of(request.kind), values, &mut out, &probe);
+        self.on_prefetch_fill_ctx(request, &mut ctx);
+        out
+    }
+}
+
+#[cfg(test)]
+impl<P: L1Prefetcher + ?Sized> CollectExt for P {}
 
 /// A prefetcher that never prefetches.
 #[derive(Debug, Default)]
@@ -432,58 +409,7 @@ impl L1Prefetcher for NullPrefetcher {
 
 #[cfg(test)]
 mod tests {
-    // Deliberate: the deprecated shim surface must keep working for
-    // out-of-crate plugins; exercising it here keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-
-    /// A pre-context-API plugin: overrides only the legacy `on_access`
-    /// signature. The `_ctx` defaults must route to it unchanged.
-    struct LegacyNextLine {
-        stats: PrefetcherStats,
-    }
-
-    impl L1Prefetcher for LegacyNextLine {
-        fn on_access(
-            &mut self,
-            access: Access,
-            _values: &mut dyn IndexValueSource,
-            out: &mut Vec<PrefetchRequest>,
-        ) {
-            out.push(PrefetchRequest {
-                pc: access.pc,
-                addr: Addr::new(access.addr.raw() + 64),
-                sectors: SectorMask::FULL_L1,
-                exclusive: false,
-                // The pre-rename alias must keep resolving for legacy
-                // plugins (and keep warning; see CI's force-warn step).
-                kind: PrefetchKind::Stream,
-            });
-        }
-
-        fn stats(&self) -> &PrefetcherStats {
-            &self.stats
-        }
-    }
-
-    #[test]
-    fn legacy_hooks_are_reached_through_the_ctx_surface() {
-        let mut p = LegacyNextLine {
-            stats: PrefetcherStats::default(),
-        };
-        let mut s = MapValueSource::new();
-        let mut out = Vec::new();
-        let probe = CoreProbe::disabled();
-        let mut ctx = PrefetchCtx::new(Pc::new(1), AccessClass::Other, &mut s, &mut out, &probe);
-        p.on_access_ctx(Access::load_miss(Pc::new(1), Addr::new(128), 8), &mut ctx);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].addr, Addr::new(192));
-        // And the collect shim routes through the ctx surface too.
-        let reqs = p.on_access_collect(Access::load_miss(Pc::new(1), Addr::new(256), 8), &mut s);
-        assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].addr, Addr::new(320));
-    }
 
     #[test]
     fn map_source_roundtrip() {
@@ -538,7 +464,6 @@ mod tests {
         assert_eq!(PrefetchKind::Sequential.hop(), 0);
         assert_eq!(PrefetchKind::Indirect { pt: 0, hop: 2 }.hop(), 2);
         assert_eq!(PrefetchKind::TranslationOnly { hop: 4 }.hop(), 4);
-        assert_eq!(PrefetchKind::Stream, PrefetchKind::Sequential);
         assert_eq!(class_of(PrefetchKind::Sequential), AccessClass::Stream);
         assert_eq!(
             class_of(PrefetchKind::TranslationOnly { hop: 3 }),

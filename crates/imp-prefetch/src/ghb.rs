@@ -130,12 +130,8 @@ impl L1Prefetcher for Ghb {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shim surface must keep working; exercising it here
-    // keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::access::MapValueSource;
+    use crate::access::{CollectExt, MapValueSource};
     use imp_common::{Addr, Pc};
 
     fn miss(addr: u64) -> Access {

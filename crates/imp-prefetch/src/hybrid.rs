@@ -113,17 +113,7 @@ impl Hybrid {
     fn refresh_stats(&mut self) {
         let mut merged = PrefetcherStats::default();
         for c in &self.components {
-            let s = c.stats();
-            merged.patterns_detected += s.patterns_detected;
-            merged.detect_failures += s.detect_failures;
-            merged.ways_detected += s.ways_detected;
-            merged.levels_detected += s.levels_detected;
-            merged.partial_prefetches += s.partial_prefetches;
-            merged.value_unavailable += s.value_unavailable;
-            merged.deferred_drops += s.deferred_drops;
-            merged.deferred_retries += s.deferred_retries;
-            merged.mshr_drops += s.mshr_drops;
-            merged.translation_ahead += s.translation_ahead;
+            merged += c.stats();
         }
         merged.stream_prefetches = self.forwarded_stream;
         merged.indirect_prefetches = self.forwarded_indirect;
@@ -223,12 +213,8 @@ impl L1Prefetcher for Hybrid {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shim surface must keep working; exercising it here
-    // keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::access::{MapValueSource, NullPrefetcher};
+    use crate::access::{CollectExt, MapValueSource, NullPrefetcher};
     use crate::imp::Imp;
     use crate::stream::StreamPrefetcher;
     use imp_common::{Addr, ImpConfig};

@@ -519,18 +519,7 @@ impl L1Prefetcher for Imp {
             .entry(slot)
             .established(self.cfg.stream_threshold);
         if established && event == StreamEvent::Continued {
-            self.stats.dbg_continued += 1;
-            let own_value = values.read_value(access.addr, access.size);
-            if own_value.is_none() {
-                self.stats.dbg_own_value_miss += 1;
-            }
-            if self.ind[slot].enabled {
-                self.stats.dbg_enabled += 1;
-                if self.ind[slot].prefetching {
-                    self.stats.dbg_prefetching += 1;
-                }
-            }
-            if let Some(value) = own_value {
+            if let Some(value) = values.read_value(access.addr, access.size) {
                 if !self.ind[slot].enabled {
                     // Primary pattern detection via the IPD.
                     let owner = owner_of(slot, DetectKind::Primary);
@@ -729,12 +718,8 @@ impl L1Prefetcher for Imp {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shim surface must keep working; exercising it here
-    // keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::access::MapValueSource;
+    use crate::access::{CollectExt, MapValueSource};
     use imp_common::Pc;
 
     /// Builds a value source for `B[i] = perm(i)` as u32 at `b_base`.

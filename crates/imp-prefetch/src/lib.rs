@@ -67,18 +67,6 @@
 //! assert!(imp.stats().patterns_detected >= 1);
 //! assert!(prefetched);
 //! ```
-//!
-//! # Migrating from the pre-context hooks
-//!
-//! Prefetchers written against the old surface — `on_access(access,
-//! values, out)` / `on_prefetch_fill(request, values, out)` and the
-//! `*_collect` wrappers — **keep compiling and keep working**: the new
-//! `_ctx` hooks default to forwarding into the old signatures, which
-//! are retained as `#[deprecated]` shims. To migrate, move each
-//! override to the context form (`values` becomes `ctx.values`, `out`
-//! becomes `ctx.out`) and replace `*_collect` calls with a
-//! [`PrefetchCtx`] over your own buffer; implement exactly one of each
-//! hook pair — the defaults forward to each other.
 
 mod access;
 pub mod cost;

@@ -302,12 +302,8 @@ impl L1Prefetcher for StreamPrefetcher {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shim surface must keep working; exercising it here
-    // keeps it covered.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::access::MapValueSource;
+    use crate::access::{CollectExt, MapValueSource};
 
     #[test]
     fn shift_apply_matches_coefficients() {

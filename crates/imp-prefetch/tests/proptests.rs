@@ -3,13 +3,30 @@
 //! IMP must prefetch real future targets — for every supported shift and
 //! arbitrary index contents.
 
-// The deprecated `*_collect` shims must keep working; exercising them
-// here keeps them covered.
-#![allow(deprecated)]
-
+use imp_common::stats::AccessClass;
 use imp_common::{Addr, ImpConfig, Pc};
-use imp_prefetch::{shift_apply, Access, Imp, Ipd, L1Prefetcher, MapValueSource, PrefetchKind};
+use imp_obs::CoreProbe;
+use imp_prefetch::{
+    class_of, shift_apply, Access, Imp, Ipd, L1Prefetcher, MapValueSource, PrefetchCtx,
+    PrefetchKind, PrefetchRequest,
+};
 use proptest::prelude::*;
+
+/// Runs `imp`'s access hook over a fresh buffer.
+fn on_access(imp: &mut Imp, access: Access, src: &mut MapValueSource) -> Vec<PrefetchRequest> {
+    let (mut out, probe) = (Vec::new(), CoreProbe::disabled());
+    let mut ctx = PrefetchCtx::new(access.pc, AccessClass::Other, src, &mut out, &probe);
+    imp.on_access_ctx(access, &mut ctx);
+    out
+}
+
+/// Runs `imp`'s fill hook over a fresh buffer.
+fn on_fill(imp: &mut Imp, req: PrefetchRequest, src: &mut MapValueSource) -> Vec<PrefetchRequest> {
+    let (mut out, probe) = (Vec::new(), CoreProbe::disabled());
+    let mut ctx = PrefetchCtx::new(req.pc, class_of(req.kind), src, &mut out, &probe);
+    imp.on_prefetch_fill_ctx(req, &mut ctx);
+    out
+}
 
 proptest! {
     /// IPD solves Eq. (2) for arbitrary index values and bases, for all
@@ -65,7 +82,8 @@ proptest! {
         let targets: std::collections::BTreeSet<u64> =
             (0..n).map(|i| a_base + 8 * b_of(i)).collect();
         for i in 0..n {
-            let reqs = imp.on_access_collect(
+            let reqs = on_access(
+                &mut imp,
                 Access::load_hit(Pc::new(1), Addr::new(b_base + 4 * i), 4),
                 &mut src,
             );
@@ -78,7 +96,8 @@ proptest! {
                     );
                 }
             }
-            imp.on_access_collect(
+            on_access(
+                &mut imp,
                 Access::load_miss(Pc::new(2), Addr::new(a_base + 8 * b_of(i)), 8),
                 &mut src,
             );
@@ -119,15 +138,15 @@ proptest! {
                 Access::load_hit(Pc::new(2), Addr::new(a_base + 8 * b_of(i)), 8)
             };
             for acc in [idx, tgt] {
-                let a = plain.on_access_collect(acc, &mut src);
-                let b = pinned.on_access_collect(acc, &mut src);
+                let a = on_access(&mut plain, acc, &mut src);
+                let b = on_access(&mut pinned, acc, &mut src);
                 prop_assert_eq!(&a, &b);
                 // Propagate every fill through both detectors — the
                 // chain-extension logic only runs here.
                 let mut queue = a;
                 while let Some(r) = queue.pop() {
-                    let fa = plain.on_prefetch_fill_collect(r, &mut src);
-                    let fb = pinned.on_prefetch_fill_collect(r, &mut src);
+                    let fa = on_fill(&mut plain, r, &mut src);
+                    let fb = on_fill(&mut pinned, r, &mut src);
                     prop_assert_eq!(&fa, &fb);
                     queue.extend(fa);
                 }

@@ -405,21 +405,8 @@ impl Fabric {
                 Err(_) => return false,
             }
         }
-        for (c, old) in self.pref.iter().enumerate() {
-            let s = old.stats();
-            let k = &mut self.carried_pref[c];
-            k.stream_prefetches += s.stream_prefetches;
-            k.indirect_prefetches += s.indirect_prefetches;
-            k.patterns_detected += s.patterns_detected;
-            k.detect_failures += s.detect_failures;
-            k.ways_detected += s.ways_detected;
-            k.levels_detected += s.levels_detected;
-            k.partial_prefetches += s.partial_prefetches;
-            k.value_unavailable += s.value_unavailable;
-            k.deferred_drops += s.deferred_drops;
-            k.deferred_retries += s.deferred_retries;
-            k.mshr_drops += s.mshr_drops;
-            k.translation_ahead += s.translation_ahead;
+        for (k, old) in self.carried_pref.iter_mut().zip(&self.pref) {
+            *k += old.stats();
         }
         self.pref = fresh;
         true
@@ -1818,15 +1805,15 @@ impl System {
         // switch (zero in unmanaged runs). Assignment, not +=, keeps
         // this idempotent across repeated collections.
         for (c, p) in self.fab.pref.iter().enumerate() {
-            let s = p.stats();
-            let k = &self.fab.carried_pref[c];
+            let mut s = self.fab.carried_pref[c].clone();
+            s += p.stats();
             let out = &mut self.fab.pstats[c];
-            out.patterns_detected = k.patterns_detected + s.patterns_detected;
-            out.detect_failures = k.detect_failures + s.detect_failures;
-            out.value_unavailable = k.value_unavailable + s.value_unavailable;
-            out.generated_indirect = k.indirect_prefetches + s.indirect_prefetches;
-            out.deferred_drops = k.deferred_drops + s.deferred_drops;
-            out.deferred_retries = k.deferred_retries + s.deferred_retries;
+            out.patterns_detected = s.patterns_detected;
+            out.detect_failures = s.detect_failures;
+            out.value_unavailable = s.value_unavailable;
+            out.generated_indirect = s.indirect_prefetches;
+            out.deferred_drops = s.deferred_drops;
+            out.deferred_retries = s.deferred_retries;
         }
         let cores: Vec<CoreStats> = self.cores.iter().map(|c| c.stats().clone()).collect();
         let runtime = cores.iter().map(|c| c.done_cycle).max().unwrap_or(0);

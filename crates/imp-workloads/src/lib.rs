@@ -135,10 +135,9 @@ pub struct Built {
 impl Built {
     /// The regions this program's indirect accesses actually scatter
     /// across — the arrays worth `madvise(MADV_HUGEPAGE)` when TLB
-    /// reach binds, derived from the op stream instead of the
-    /// hand-maintained [`hot_regions`] table. Names come back in
-    /// allocation order, deduplicated, and feed `Sim::page_policy`
-    /// directly.
+    /// reach binds, derived from the op stream, so chain and `trace:`
+    /// workloads answer too. Names come back in allocation order,
+    /// deduplicated, and feed `Sim::page_policy` directly.
     pub fn hot_regions(&self) -> Vec<String> {
         let mut by_base: Vec<(u64, u64, usize)> = self
             .regions
@@ -243,40 +242,6 @@ pub fn by_name(name: &str) -> Option<Box<dyn Workload>> {
         "skiplist" => Some(Box::new(Counted(pattern::skiplist()))),
         "btree" => Some(Box::new(Counted(pattern::btree()))),
         _ => None,
-    }
-}
-
-/// The arrays IMP's value-derived prefetches scatter across — the ones
-/// worth `madvise(MADV_HUGEPAGE)` when TLB reach binds. Names match
-/// the workload's [`Built::regions`] records; a trailing `*` matches a
-/// per-core family of arrays (`Sim::page_policy` understands the same
-/// glob). Unknown workloads have no hot arrays.
-///
-/// Deprecated: this hand-maintained table only knows the stock
-/// generators — a `chain:` workload or a plugin workload comes back
-/// empty. Build the workload and ask [`Built::hot_regions`] instead,
-/// which derives the list from the ops that actually chase indirect
-/// addresses:
-///
-/// ```
-/// # use imp_workloads::{by_name, Scale, WorkloadParams};
-/// let built = by_name("spmv").unwrap().build(&WorkloadParams::new(2, Scale::Tiny));
-/// assert_eq!(built.hot_regions(), vec!["x"]);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build the workload and use `Built::hot_regions()`, which is \
-            derived from the real indirect access stream"
-)]
-pub fn hot_regions(workload: &str) -> &'static [&'static str] {
-    match workload {
-        "pagerank" => &["pr0", "pr1", "deg"],
-        "tri_count" => &["bits*"],
-        "graph500" => &["xadj", "parent", "adj"],
-        "sgd" => &["U", "V"],
-        "lsh" => &["data"],
-        "spmv" | "symgs" => &["x"],
-        _ => &[],
     }
 }
 
@@ -420,21 +385,25 @@ mod tests {
     #[test]
     fn built_hot_regions_are_derived_from_the_access_stream() {
         let p = WorkloadParams::new(2, Scale::Tiny);
-        // Agreement with the legacy static table on a stock kernel.
-        let spmv = by_name("spmv").unwrap().build(&p);
-        assert_eq!(spmv.hot_regions(), vec!["x"]);
-        #[allow(deprecated)]
-        {
-            assert_eq!(hot_regions("spmv"), &["x"]);
+        // The classic kernels' indirect-target arrays, in allocation
+        // order.
+        for (name, want) in [
+            ("spmv", &["x"][..]),
+            ("symgs", &["x"]),
+            ("pagerank", &["deg", "pr0", "pr1"]),
+            ("graph500", &["xadj", "adj", "parent"]),
+            ("sgd", &["U", "V"]),
+            ("lsh", &["data"]),
+            ("dense", &[]),
+        ] {
+            let built = by_name(name).unwrap().build(&p);
+            assert_eq!(built.hot_regions(), want, "{name}");
         }
-        // Chain kernels name every chased hop table, no static entry
-        // needed.
+        // Chain kernels name every chased hop table.
         let join = by_name("hashjoin").unwrap().build(&p);
         assert_eq!(join.hot_regions(), vec!["bucket", "entry", "payload"]);
-        // Per-core families come back as concrete region names instead
-        // of the static table's `bits*` glob — and the derived list
-        // also catches indirect arrays the static table understated
-        // (tri_count's xadj loads are Indirect-class too).
+        // Per-core families come back as concrete region names rather
+        // than a `bits*` glob.
         let tc = by_name("tri_count").unwrap().build(&p);
         let tc_hot = tc.hot_regions();
         assert!(tc_hot.contains(&"bits0".to_string()), "{tc_hot:?}");

@@ -22,11 +22,9 @@ struct NextLines {
 }
 
 impl L1Prefetcher for NextLines {
-    // The context-based hook is the current surface: `ctx` bundles the
+    // The one required hook besides `stats`: `ctx` bundles the
     // index-value source, the output buffer (`ctx.emit`), and the
-    // observability probe. Plugins written against the older
-    // `on_access(access, values, out)` hook still compile — the trait
-    // defaults bridge the two — but new code should start here.
+    // observability probe.
     fn on_access_ctx(&mut self, access: Access, ctx: &mut PrefetchCtx<'_>) {
         if !access.miss {
             return;

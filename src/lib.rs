@@ -150,8 +150,4 @@ pub mod prelude {
         by_name, paper_workloads, BuiltArtifact, Scale, Workload, WorkloadParams,
     };
     pub use imp_workloads::{gather, AccessPattern, Chain, ChainSpec};
-    // Re-exported for back-compat; deprecated in favor of
-    // `Built::hot_regions()`.
-    #[allow(deprecated)]
-    pub use imp_workloads::hot_regions;
 }

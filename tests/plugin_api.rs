@@ -4,9 +4,7 @@
 
 use imp::common::{LineAddr, SectorMask};
 use imp::prefetch::registry::{self, RegistryError};
-use imp::prefetch::{
-    Access, IndexValueSource, L1Prefetcher, PrefetchKind, PrefetchRequest, PrefetcherStats,
-};
+use imp::prefetch::{Access, L1Prefetcher, PrefetchKind, PrefetchRequest, PrefetcherStats};
 use imp::prelude::*;
 use imp::sim::System;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,19 +17,14 @@ struct NextLine {
 }
 
 impl L1Prefetcher for NextLine {
-    fn on_access(
-        &mut self,
-        access: Access,
-        _values: &mut dyn IndexValueSource,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
+    fn on_access_ctx(&mut self, access: Access, ctx: &mut PrefetchCtx<'_>) {
         if !access.miss {
             return;
         }
         self.stats.stream_prefetches += 1;
         self.issued.fetch_add(1, Ordering::Relaxed);
         let next = LineAddr::containing(access.addr).number() + 1;
-        out.push(PrefetchRequest {
+        ctx.emit(PrefetchRequest {
             pc: access.pc,
             addr: LineAddr::from_line_number(next).base(),
             sectors: SectorMask::FULL_L1,
@@ -61,39 +54,6 @@ fn register_next_line() -> Arc<AtomicU64> {
             issued
         })
         .clone()
-}
-
-/// The legacy hook surface must keep working through the trait's
-/// bridging defaults: a plugin *implementing* old `on_access` is driven
-/// by the simulator's `on_access_ctx` calls, and old callers of
-/// `on_access_collect` still reach a ctx-based implementation. The
-/// `allow` is scoped to the exercise; CI rebuilds this test with
-/// `--force-warn deprecated` and asserts the warning points here, so
-/// the legacy surface can neither silently break nor silently lose its
-/// deprecation marker.
-#[test]
-fn legacy_hooks_still_work_through_the_shims() {
-    register_next_line();
-    let mut pf = registry::build(
-        &"test-next-line".parse().expect("valid spec"),
-        &registry::BuildCtx {
-            core: 0,
-            imp: &imp::common::ImpConfig::paper_default(),
-            partial: false,
-        },
-    )
-    .expect("registered above");
-    let mut values = imp::prefetch::MapValueSource::new();
-    #[allow(deprecated)]
-    let reqs = pf.on_access_collect(
-        Access::load_miss(Pc::new(9), Addr::new(0x4000), 8),
-        &mut values,
-    );
-    assert_eq!(reqs.len(), 1, "legacy impl reached through the shims");
-    assert_eq!(reqs[0].addr, Addr::new(0x4040), "next line prefetched");
-    // This prefetcher's own counter, not the process-wide one that
-    // concurrently running tests also bump.
-    assert_eq!(pf.stats().stream_prefetches, 1);
 }
 
 #[test]
