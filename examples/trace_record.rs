@@ -1,5 +1,7 @@
 //! Record a workload to an `.imptrace` file, replay it, and share one
-//! artifact across a prefetcher comparison.
+//! artifact across a prefetcher comparison. The host times of the live
+//! `imp` run and of its replay over the shared artifact differ by the
+//! workload build, the per-cell cost `Sweep` saves by sharing artifacts.
 //!
 //! ```sh
 //! cargo run --release --example trace_record
@@ -7,6 +9,7 @@
 
 use imp::prelude::*;
 use imp::workloads::BuiltArtifact;
+use std::time::{Duration, Instant};
 
 fn main() {
     let sim = Sim::workload("pagerank").scale(Scale::Tiny).cores(16);
@@ -35,7 +38,9 @@ fn main() {
         .prefetcher("imp")
         .run()
         .expect("replay runs");
+    let start = Instant::now();
     let live = sim.clone().prefetcher("imp").run().expect("live run");
+    let live_time = start.elapsed();
     println!(
         "replayed runtime {} vs live runtime {} — identical: {}",
         replayed.runtime,
@@ -47,18 +52,32 @@ fn main() {
     // input for every prefetcher (the comparison the paper's figures
     // make).
     println!("\nprefetcher comparison over the shared artifact:");
+    let mut replay_time = Duration::ZERO;
     for spec in ["none", "stream", "imp"] {
+        let start = Instant::now();
         let stats = sim
             .clone()
             .prefetcher(spec)
             .run_on(&artifact)
             .expect("shared-artifact run");
+        if spec == "imp" {
+            replay_time = start.elapsed();
+        }
         println!(
             "  {spec:>6}: runtime {:>8} cycles, throughput {:.3} IPC",
             stats.runtime,
             stats.throughput(),
         );
     }
+
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    println!(
+        "\nhost time, imp: live build+run {:.1} ms, shared-artifact run {:.1} ms, \
+         build cost per cell {:.1} ms",
+        ms(live_time),
+        ms(replay_time),
+        ms(live_time) - ms(replay_time),
+    );
 
     // Loading gets the same artifact back, bit for bit.
     let loaded = BuiltArtifact::load(&path).expect("file round-trips");
