@@ -1,7 +1,8 @@
 //! Common foundation types for the IMP (Indirect Memory Prefetcher)
 //! reproduction: addresses, cycles, system/prefetcher configuration
 //! (Tables 1 and 2 of the paper), a deterministic discrete-event queue,
-//! statistics counters, and a small seedable RNG.
+//! statistics counters, a small seedable RNG, and the [`wire`] codec
+//! every on-disk format is read and written through.
 //!
 //! Everything in this crate is dependency-free and deterministic; the
 //! simulator built on top of it replays identically for a given seed.
@@ -23,6 +24,7 @@ pub mod event;
 pub mod hash;
 pub mod rng;
 pub mod stats;
+pub mod wire;
 
 pub use addr::{Addr, LineAddr, Pc, SectorMask};
 pub use config::{

@@ -54,7 +54,7 @@ impl SplitMix64 {
 }
 
 /// 64-bit FNV-1a over `bytes`: a cheap, dependency-free hash used for
-/// seed mixing and as the `.imptrace` integrity checksum. Not
+/// seed mixing and as the checksum of every [`crate::wire`] frame. Not
 /// cryptographic — it detects corruption, not tampering.
 ///
 /// # Example

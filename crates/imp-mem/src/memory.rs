@@ -1,5 +1,6 @@
 //! Sparse page-backed functional memory.
 
+use imp_common::wire::{Reader, WireError, Writer};
 use imp_common::{Addr, FastMap};
 use std::fmt;
 use std::sync::Arc;
@@ -146,53 +147,37 @@ impl FunctionalMemory {
     pub fn snapshot(&self) -> Vec<u8> {
         let mut numbers: Vec<u64> = self.pages.keys().copied().collect();
         numbers.sort_unstable();
-        let mut out = Vec::with_capacity(8 + numbers.len() * (8 + PAGE_BYTES));
-        out.extend_from_slice(&(numbers.len() as u64).to_le_bytes());
+        let mut w = Writer::default();
+        w.u64(numbers.len() as u64);
         for n in numbers {
-            out.extend_from_slice(&n.to_le_bytes());
-            out.extend_from_slice(&self.pages[&n][..]);
+            w.u64(n);
+            w.bytes(&self.pages[&n][..]);
         }
-        out
+        w.into_bytes()
     }
 
     /// Rebuilds a memory from a [`FunctionalMemory::snapshot`] image.
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] when the image is truncated, has
-    /// bytes left over, or repeats a page number.
+    /// Returns [`SnapshotError::Wire`] when the image is truncated or
+    /// has bytes left over, and [`SnapshotError::DuplicatePage`] when it
+    /// repeats a page number.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], SnapshotError> {
-            let available = bytes.len() - *pos;
-            if n > available {
-                return Err(SnapshotError::Truncated {
-                    needed: n,
-                    available,
-                });
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let mut pos = 0;
-        let count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
-        // The count is untrusted until checked against the bytes that
-        // follow — cap the pre-allocation by what the image could
-        // actually hold so a corrupt header errors instead of aborting.
-        let possible = (bytes.len() - pos) / (8 + PAGE_BYTES);
+        let mut r = Reader::new(bytes);
+        let count = r.u64("page count")?;
+        let mut records = Reader::new(r.records("memory pages", count, 8 + PAGE_BYTES)?);
         let mut pages = FastMap::default();
-        pages.reserve((count as usize).min(possible));
-        for _ in 0..count {
-            let n = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
-            let data: [u8; PAGE_BYTES] =
-                take(&mut pos, PAGE_BYTES)?.try_into().expect("page-sized");
-            if pages.insert(n, Arc::new(data)).is_some() {
+        pages.reserve(records.rest().len() / (8 + PAGE_BYTES));
+        while !records.rest().is_empty() {
+            let n = records.u64("page number")?;
+            let page = records.take("page", PAGE_BYTES)?;
+            let page = Arc::new(page.try_into().expect("took one page"));
+            if pages.insert(n, page).is_some() {
                 return Err(SnapshotError::DuplicatePage(n));
             }
         }
-        if pos != bytes.len() {
-            return Err(SnapshotError::TrailingBytes(bytes.len() - pos));
-        }
+        r.finish()?;
         Ok(FunctionalMemory { pages })
     }
 
@@ -208,15 +193,9 @@ impl FunctionalMemory {
 /// Why a [`FunctionalMemory::snapshot`] image could not be restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The image ended before a page record was complete.
-    Truncated {
-        /// Bytes the next record needed.
-        needed: usize,
-        /// Bytes that were left.
-        available: usize,
-    },
-    /// The image has bytes after the declared page records.
-    TrailingBytes(usize),
+    /// The image is truncated or has bytes after the declared page
+    /// records.
+    Wire(WireError),
     /// The same page number appears twice.
     DuplicatePage(u64),
 }
@@ -224,13 +203,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Truncated { needed, available } => write!(
-                f,
-                "truncated memory snapshot: record needs {needed} bytes, {available} left"
-            ),
-            SnapshotError::TrailingBytes(n) => {
-                write!(f, "{n} unexpected bytes after the memory snapshot")
-            }
+            SnapshotError::Wire(e) => write!(f, "unreadable memory snapshot: {e}"),
             SnapshotError::DuplicatePage(p) => {
                 write!(f, "page {p:#x} appears twice in the memory snapshot")
             }
@@ -239,6 +212,12 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<WireError> for SnapshotError {
+    fn from(e: WireError) -> Self {
+        SnapshotError::Wire(e)
+    }
+}
 
 fn split(addr: Addr) -> (u64, usize) {
     (
@@ -336,13 +315,13 @@ mod tests {
         let image = m.snapshot();
         assert!(matches!(
             FunctionalMemory::restore(&image[..image.len() - 1]),
-            Err(SnapshotError::Truncated { .. })
+            Err(SnapshotError::Wire(WireError::Truncated { .. }))
         ));
         let mut padded = image.clone();
         padded.push(0);
         assert!(matches!(
             FunctionalMemory::restore(&padded),
-            Err(SnapshotError::TrailingBytes(1))
+            Err(SnapshotError::Wire(WireError::TrailingBytes(1)))
         ));
         // Duplicate the single page record and fix up the count.
         let mut dup = image.clone();
@@ -357,7 +336,7 @@ mod tests {
         huge[0..8].copy_from_slice(&(1u64 << 60).to_le_bytes());
         assert!(matches!(
             FunctionalMemory::restore(&huge),
-            Err(SnapshotError::Truncated { .. })
+            Err(SnapshotError::Wire(WireError::Truncated { .. }))
         ));
     }
 }

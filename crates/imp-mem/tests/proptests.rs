@@ -1,6 +1,8 @@
-//! Property tests: functional memory behaves like a giant byte array.
+//! Property tests: functional memory behaves like a giant byte array,
+//! and a damaged snapshot restores or fails with a typed error, never a
+//! panic.
 
-use imp_common::Addr;
+use imp_common::{wire, Addr};
 use imp_mem::{AddressSpace, FunctionalMemory};
 use proptest::prelude::*;
 
@@ -62,6 +64,29 @@ proptest! {
         let image = mem.snapshot();
         prop_assume!(cut < image.len());
         prop_assert!(FunctionalMemory::restore(&image[..image.len() - cut]).is_err());
+    }
+
+    /// A damaged snapshot restores to a memory or fails with a typed
+    /// error, never panicking or allocating for an absurd page count;
+    /// any memory it restores snapshots to an image that restores again.
+    #[test]
+    fn snapshot_restore_survives_damage(
+        writes in proptest::collection::vec((0u64..3 << 12, any::<u64>()), 0..3),
+        edits in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        let mut mem = FunctionalMemory::new();
+        for (addr, v) in &writes {
+            mem.write_u64(Addr::new(*addr), *v);
+        }
+        let mut image = mem.snapshot();
+        for (kind, at, value) in edits {
+            wire::mutate(&mut image, kind, at, value);
+        }
+        if let Ok(back) = FunctionalMemory::restore(&image) {
+            let again = back.snapshot();
+            let reread = FunctionalMemory::restore(&again).map(|m| m.snapshot());
+            prop_assert_eq!(reread, Ok(again));
+        }
     }
 
     /// Allocations never overlap, whatever the request sizes.

@@ -10,12 +10,13 @@
 //! [`imp_common::SystemStats`] result persists on disk under
 //! `<store>/<digest[..2]>/<digest>.impres`.
 //!
-//! The `.impres` container follows the same magic + version + FNV-1a
-//! checksum discipline as `.imptrace`: corruption is detected on read
-//! (and surfaces as a *miss*, never as garbage data), newer versions are
-//! rejected, and the canonical string is stored verbatim in the record
-//! so a digest collision — or a stale record hashed under an older
-//! canonical scheme — is caught by direct comparison, not trusted.
+//! The `.impres` container shares its magic + version + FNV-1a checksum
+//! frame and its reader with `.imptrace` ([`imp_common::wire`]):
+//! corruption is detected on read (and surfaces as a *miss*, never as
+//! garbage data), newer versions are rejected, and the canonical string
+//! is stored verbatim in the record so a digest collision — or a stale
+//! record hashed under an older canonical scheme — is caught by direct
+//! comparison, not trusted.
 //!
 //! ```
 //! use imp_store::{cell_digest, digest_hex, CellKey, ResultStore, StoredResult};

@@ -2,14 +2,14 @@
 //!
 //! ## Layout (all integers little-endian)
 //!
+//! A record is one [`imp_common::wire`] frame (magic `b"IMPRESLT"`,
+//! [`VERSION`], FNV-1a trailer) around this body:
+//!
 //! | section | encoding |
 //! |---|---|
-//! | magic | 8 bytes, `b"IMPRESLT"` |
-//! | version | `u32`, currently 2 |
 //! | canonical | `u32` length + UTF-8 bytes |
 //! | cell key | workload, cores, seed, prefetcher, manager, partial, TLB, page policies |
 //! | stats | runtime + per-core vectors + L2-TLB + traffic, `u64` words |
-//! | checksum | `u64` FNV-1a over everything before it |
 //!
 //! The canonical string is stored *verbatim* (not just its digest) so a
 //! reader can verify the record answers the exact question being asked;
@@ -21,8 +21,8 @@
 use imp_common::config::{
     PagePolicy, ParamValue, PartialMode, PrefetcherSpec, TlbConfig, TranslationPolicy, WalkModel,
 };
-use imp_common::fnv1a;
 use imp_common::stats::{CoreStats, PrefetchStats, SystemStats, TlbStats, TrafficStats};
+use imp_common::wire::{self, Reader, WireError, Writer};
 use std::fmt;
 use std::path::Path;
 
@@ -46,67 +46,16 @@ pub const VERSION: u32 = 2;
 pub enum StoreError {
     /// Underlying filesystem failure.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file's version is newer than this reader understands.
-    UnsupportedVersion(u32),
-    /// The file ended before a section was complete.
-    Truncated {
-        /// Which section was being read.
-        section: &'static str,
-        /// Bytes the section needed.
-        needed: usize,
-        /// Bytes that were left.
-        available: usize,
-    },
-    /// A string section is not valid UTF-8.
-    BadUtf8(&'static str),
-    /// An enum tag byte is out of range.
-    BadTag {
-        /// Which section held the byte.
-        section: &'static str,
-        /// The offending value.
-        value: u8,
-    },
-    /// The stored checksum does not match the file contents.
-    ChecksumMismatch {
-        /// Checksum recorded in the file.
-        stored: u64,
-        /// Checksum of the bytes actually read.
-        computed: u64,
-    },
-    /// The file has bytes after the checksum trailer.
-    TrailingBytes(usize),
+    /// The bytes are not a readable `.impres` record of this
+    /// [`VERSION`].
+    Wire(WireError),
 }
 
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "store i/o error: {e}"),
-            StoreError::BadMagic => write!(f, "not an .impres file (bad magic)"),
-            StoreError::UnsupportedVersion(v) => write!(
-                f,
-                "unsupported .impres version {v} (reader supports {VERSION})"
-            ),
-            StoreError::Truncated {
-                section,
-                needed,
-                available,
-            } => write!(
-                f,
-                "truncated .impres: {section} needs {needed} bytes, {available} left"
-            ),
-            StoreError::BadUtf8(section) => write!(f, "{section} is not valid UTF-8"),
-            StoreError::BadTag { section, value } => {
-                write!(f, "unknown {section} tag byte {value:#x}")
-            }
-            StoreError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checksum mismatch: file says {stored:#018x}, contents hash to {computed:#018x}"
-            ),
-            StoreError::TrailingBytes(n) => {
-                write!(f, "{n} unexpected bytes after the checksum trailer")
-            }
+            StoreError::Wire(e) => write!(f, "unreadable .impres record: {e}"),
         }
     }
 }
@@ -115,7 +64,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            _ => None,
+            StoreError::Wire(e) => Some(e),
         }
     }
 }
@@ -123,6 +72,12 @@ impl std::error::Error for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+impl From<WireError> for StoreError {
+    fn from(e: WireError) -> Self {
+        StoreError::Wire(e)
     }
 }
 
@@ -183,15 +138,11 @@ pub struct StoredResult {
 impl StoredResult {
     /// Serializes to the `.impres` byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256 + self.canonical.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        put_str(&mut out, &self.canonical);
-        encode_cell(&self.cell, &mut out);
-        encode_stats(&self.stats, &mut out);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        wire::frame(&MAGIC, VERSION, |w| {
+            w.str(&self.canonical);
+            encode_cell(&self.cell, w);
+            encode_stats(&self.stats, w);
+        })
     }
 
     /// Parses the `.impres` byte layout.
@@ -199,41 +150,15 @@ impl StoredResult {
     /// # Errors
     ///
     /// Any structural defect — wrong magic, newer version, truncation,
-    /// invalid tag bytes, checksum mismatch — comes back as the matching
-    /// [`StoreError`] variant.
+    /// invalid tag bytes, checksum mismatch — comes back as
+    /// [`StoreError::Wire`] with the matching [`WireError`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < 8 {
-            return Err(StoreError::Truncated {
-                section: "checksum trailer",
-                needed: 8,
-                available: bytes.len(),
-            });
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-
-        let mut r = Reader { buf: body, pos: 0 };
-        if r.take("magic", MAGIC.len())? != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = r.u32("version")?;
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let canonical = r.string("canonical")?;
-        let cell = decode_cell(&mut r)?;
-        let stats = decode_stats(&mut r)?;
-        if r.pos != body.len() {
-            return Err(StoreError::TrailingBytes(body.len() - r.pos));
-        }
-        Ok(StoredResult {
-            canonical,
-            cell,
-            stats,
+        wire::unframe(bytes, &MAGIC, VERSION, |r| {
+            Ok(StoredResult {
+                canonical: r.str("canonical")?,
+                cell: decode_cell(r)?,
+                stats: decode_stats(r)?,
+            })
         })
     }
 
@@ -251,209 +176,167 @@ impl StoredResult {
     /// # Errors
     ///
     /// Filesystem failures surface as [`StoreError::Io`]; malformed
-    /// contents as the other [`StoreError`] variants.
+    /// contents as [`StoreError::Wire`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::from_bytes(&std::fs::read(path)?)
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &PrefetcherSpec) {
-    put_str(out, &spec.name);
-    out.extend_from_slice(&(spec.params.len() as u32).to_le_bytes());
+fn put_spec(w: &mut Writer, spec: &PrefetcherSpec) {
+    w.str(&spec.name);
+    w.count(spec.params.len());
     for (key, value) in &spec.params {
-        put_str(out, key);
+        w.str(key);
         match value {
             ParamValue::Bool(b) => {
-                out.push(0);
-                out.push(u8::from(*b));
+                w.u8(0);
+                w.u8(u8::from(*b));
             }
             ParamValue::Int(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_le_bytes());
+                w.u8(1);
+                w.u64(*v as u64);
             }
             ParamValue::Float(v) => {
-                out.push(2);
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
+                w.u8(2);
+                w.u64(v.to_bits());
             }
             ParamValue::Str(s) => {
-                out.push(3);
-                put_str(out, s);
+                w.u8(3);
+                w.str(s);
             }
         }
     }
 }
 
-fn encode_cell(cell: &CellKey, out: &mut Vec<u8>) {
-    put_str(out, &cell.workload);
-    out.extend_from_slice(&cell.cores.to_le_bytes());
-    out.extend_from_slice(&cell.seed.to_le_bytes());
+fn encode_cell(cell: &CellKey, w: &mut Writer) {
+    w.str(&cell.workload);
+    w.u32(cell.cores);
+    w.u64(cell.seed);
 
-    put_spec(out, &cell.prefetcher);
+    put_spec(w, &cell.prefetcher);
     match &cell.manager {
-        None => out.push(0),
+        None => w.u8(0),
         Some(spec) => {
-            out.push(1);
-            put_spec(out, spec);
+            w.u8(1);
+            put_spec(w, spec);
         }
     }
 
-    out.push(match cell.partial {
+    w.u8(match cell.partial {
         PartialMode::Off => 0,
         PartialMode::NocOnly => 1,
         PartialMode::NocAndDram => 2,
     });
 
     let tlb = &cell.tlb;
-    out.push(u8::from(tlb.ideal));
-    out.extend_from_slice(&tlb.sets.to_le_bytes());
-    out.extend_from_slice(&tlb.ways.to_le_bytes());
-    out.extend_from_slice(&tlb.page_bytes.to_le_bytes());
-    out.extend_from_slice(&tlb.walk_latency.to_le_bytes());
-    out.push(match tlb.policy {
+    w.u8(u8::from(tlb.ideal));
+    w.u32(tlb.sets);
+    w.u32(tlb.ways);
+    w.u64(tlb.page_bytes);
+    w.u64(tlb.walk_latency);
+    w.u8(match tlb.policy {
         TranslationPolicy::DropOnMiss => 0,
         TranslationPolicy::NonBlockingWalk => 1,
         TranslationPolicy::Ideal => 2,
     });
-    out.push(u8::from(tlb.walk_dram_traffic));
-    out.extend_from_slice(&tlb.l2_sets.to_le_bytes());
-    out.extend_from_slice(&tlb.l2_ways.to_le_bytes());
-    out.extend_from_slice(&tlb.l2_latency.to_le_bytes());
-    out.push(u8::from(tlb.tlb_prefetch));
-    out.push(match tlb.walk_model {
+    w.u8(u8::from(tlb.walk_dram_traffic));
+    w.u32(tlb.l2_sets);
+    w.u32(tlb.l2_ways);
+    w.u64(tlb.l2_latency);
+    w.u8(u8::from(tlb.tlb_prefetch));
+    w.u8(match tlb.walk_model {
         WalkModel::Flat => 0,
         WalkModel::Cached => 1,
     });
-    out.extend_from_slice(&tlb.huge_sets.to_le_bytes());
-    out.extend_from_slice(&tlb.huge_ways.to_le_bytes());
+    w.u32(tlb.huge_sets);
+    w.u32(tlb.huge_ways);
 
-    out.extend_from_slice(&(cell.page_policy.len() as u32).to_le_bytes());
+    w.count(cell.page_policy.len());
     for (region, policy) in &cell.page_policy {
-        put_str(out, region);
+        w.str(region);
         match policy {
-            PagePolicy::Base4K => out.push(0),
-            PagePolicy::Huge2M => out.push(1),
+            PagePolicy::Base4K => w.u8(0),
+            PagePolicy::Huge2M => w.u8(1),
             PagePolicy::Auto { threshold_bytes } => {
-                out.push(2);
-                out.extend_from_slice(&threshold_bytes.to_le_bytes());
+                w.u8(2);
+                w.u64(*threshold_bytes);
             }
         }
     }
 }
 
-fn read_spec(r: &mut Reader<'_>) -> Result<PrefetcherSpec, StoreError> {
-    let name = r.string("spec name")?;
-    let mut spec = PrefetcherSpec::new(name);
-    let n_params = r.u32("param count")? as usize;
-    for _ in 0..n_params {
-        let key = r.string("param key")?;
-        let value = match r.byte("param tag")? {
-            0 => ParamValue::Bool(r.byte("param bool")? != 0),
-            1 => ParamValue::Int(i64::from_le_bytes(
-                r.take("param int", 8)?.try_into().expect("8 bytes"),
-            )),
+fn read_spec(r: &mut Reader<'_>) -> Result<PrefetcherSpec, WireError> {
+    let name = r.str("spec name")?;
+    // A parameter is at least a key length, a tag and one value byte.
+    let params = r.list("param count", 4 + 1 + 1, |r| {
+        let key = r.str("param key")?;
+        let value = match r.tag("param value", 4)? {
+            0 => ParamValue::Bool(r.u8("param bool")? != 0),
+            1 => ParamValue::Int(r.u64("param int")? as i64),
             2 => ParamValue::Float(f64::from_bits(r.u64("param float")?)),
-            3 => ParamValue::Str(r.string("param string")?),
-            value => {
-                return Err(StoreError::BadTag {
-                    section: "param value",
-                    value,
-                })
-            }
+            _ => ParamValue::Str(r.str("param string")?),
         };
-        spec.params.insert(key, value);
-    }
-    Ok(spec)
+        Ok((key, value))
+    })?;
+    Ok(PrefetcherSpec {
+        name,
+        params: params.into_iter().collect(),
+    })
 }
 
-fn decode_cell(r: &mut Reader<'_>) -> Result<CellKey, StoreError> {
-    let workload = r.string("workload")?;
+fn decode_cell(r: &mut Reader<'_>) -> Result<CellKey, WireError> {
+    let workload = r.str("workload")?;
     let cores = r.u32("cores")?;
     let seed = r.u64("seed")?;
 
     let prefetcher = read_spec(r)?;
-    let manager = match r.byte("manager presence")? {
+    let manager = match r.tag("manager presence", 2)? {
         0 => None,
-        1 => Some(read_spec(r)?),
-        value => {
-            return Err(StoreError::BadTag {
-                section: "manager presence",
-                value,
-            })
-        }
+        _ => Some(read_spec(r)?),
     };
 
-    let partial = match r.byte("partial mode")? {
+    let partial = match r.tag("partial mode", 3)? {
         0 => PartialMode::Off,
         1 => PartialMode::NocOnly,
-        2 => PartialMode::NocAndDram,
-        value => {
-            return Err(StoreError::BadTag {
-                section: "partial mode",
-                value,
-            })
-        }
+        _ => PartialMode::NocAndDram,
     };
 
     let tlb = TlbConfig {
-        ideal: r.byte("tlb ideal")? != 0,
+        ideal: r.u8("tlb ideal")? != 0,
         sets: r.u32("tlb sets")?,
         ways: r.u32("tlb ways")?,
         page_bytes: r.u64("tlb page bytes")?,
         walk_latency: r.u64("tlb walk latency")?,
-        policy: match r.byte("translation policy")? {
+        policy: match r.tag("translation policy", 3)? {
             0 => TranslationPolicy::DropOnMiss,
             1 => TranslationPolicy::NonBlockingWalk,
-            2 => TranslationPolicy::Ideal,
-            value => {
-                return Err(StoreError::BadTag {
-                    section: "translation policy",
-                    value,
-                })
-            }
+            _ => TranslationPolicy::Ideal,
         },
-        walk_dram_traffic: r.byte("walk dram traffic")? != 0,
+        walk_dram_traffic: r.u8("walk dram traffic")? != 0,
         l2_sets: r.u32("l2 tlb sets")?,
         l2_ways: r.u32("l2 tlb ways")?,
         l2_latency: r.u64("l2 tlb latency")?,
-        tlb_prefetch: r.byte("tlb prefetch")? != 0,
-        walk_model: match r.byte("walk model")? {
+        tlb_prefetch: r.u8("tlb prefetch")? != 0,
+        walk_model: match r.tag("walk model", 2)? {
             0 => WalkModel::Flat,
-            1 => WalkModel::Cached,
-            value => {
-                return Err(StoreError::BadTag {
-                    section: "walk model",
-                    value,
-                })
-            }
+            _ => WalkModel::Cached,
         },
         huge_sets: r.u32("huge tlb sets")?,
         huge_ways: r.u32("huge tlb ways")?,
     };
 
-    let n_policies = r.u32("page policy count")? as usize;
-    let mut page_policy = Vec::with_capacity(n_policies.min(r.remaining()));
-    for _ in 0..n_policies {
-        let region = r.string("page policy region")?;
-        let policy = match r.byte("page policy tag")? {
+    // A policy is at least a region-name length and a tag.
+    let page_policy = r.list("page policy count", 4 + 1, |r| {
+        let region = r.str("page policy region")?;
+        let policy = match r.tag("page policy", 3)? {
             0 => PagePolicy::Base4K,
             1 => PagePolicy::Huge2M,
-            2 => PagePolicy::Auto {
+            _ => PagePolicy::Auto {
                 threshold_bytes: r.u64("page policy threshold")?,
             },
-            value => {
-                return Err(StoreError::BadTag {
-                    section: "page policy",
-                    value,
-                })
-            }
         };
-        page_policy.push((region, policy));
-    }
+        Ok((region, policy))
+    })?;
 
     Ok(CellKey {
         workload,
@@ -474,12 +357,12 @@ const PREFETCH_WORDS: usize = 14;
 /// `u64` words one [`TlbStats`] occupies on disk.
 const TLB_WORDS: usize = 9;
 
-fn encode_stats(stats: &SystemStats, out: &mut Vec<u8>) {
-    out.extend_from_slice(&stats.runtime.to_le_bytes());
+fn encode_stats(stats: &SystemStats, w: &mut Writer) {
+    w.u64(stats.runtime);
 
-    out.extend_from_slice(&(stats.cores.len() as u32).to_le_bytes());
+    w.count(stats.cores.len());
     for c in &stats.cores {
-        for w in [
+        for v in [
             c.instructions,
             c.done_cycle,
             c.stall_cycles[0],
@@ -495,13 +378,13 @@ fn encode_stats(stats: &SystemStats, out: &mut Vec<u8>) {
             c.mem_latency_count,
             c.walk_stall_cycles,
         ] {
-            out.extend_from_slice(&w.to_le_bytes());
+            w.u64(v);
         }
     }
 
-    out.extend_from_slice(&(stats.prefetch.len() as u32).to_le_bytes());
+    w.count(stats.prefetch.len());
     for p in &stats.prefetch {
-        for w in [
+        for v in [
             p.issued_stream,
             p.issued_indirect,
             p.useful,
@@ -517,33 +400,33 @@ fn encode_stats(stats: &SystemStats, out: &mut Vec<u8>) {
             p.mshr_drops,
             p.generated_indirect,
         ] {
-            out.extend_from_slice(&w.to_le_bytes());
+            w.u64(v);
         }
     }
 
-    out.extend_from_slice(&(stats.tlb.len() as u32).to_le_bytes());
+    w.count(stats.tlb.len());
     for t in &stats.tlb {
-        encode_tlb(t, out);
+        encode_tlb(t, w);
     }
-    out.extend_from_slice(&(stats.tlb_huge.len() as u32).to_le_bytes());
+    w.count(stats.tlb_huge.len());
     for t in &stats.tlb_huge {
-        encode_tlb(t, out);
+        encode_tlb(t, w);
     }
-    encode_tlb(&stats.tlb_l2, out);
+    encode_tlb(&stats.tlb_l2, w);
 
-    for w in [
+    for v in [
         stats.traffic.noc_flit_hops,
         stats.traffic.noc_messages,
         stats.traffic.dram_read_bytes,
         stats.traffic.dram_write_bytes,
         stats.traffic.dram_accesses,
     ] {
-        out.extend_from_slice(&w.to_le_bytes());
+        w.u64(v);
     }
 }
 
-fn encode_tlb(t: &TlbStats, out: &mut Vec<u8>) {
-    for w in [
+fn encode_tlb(t: &TlbStats, w: &mut Writer) {
+    for v in [
         t.hits,
         t.misses,
         t.evictions,
@@ -554,17 +437,15 @@ fn encode_tlb(t: &TlbStats, out: &mut Vec<u8>) {
         t.prefetch_drops,
         t.prefetch_walks,
     ] {
-        out.extend_from_slice(&w.to_le_bytes());
+        w.u64(v);
     }
 }
 
-fn decode_stats(r: &mut Reader<'_>) -> Result<SystemStats, StoreError> {
+fn decode_stats(r: &mut Reader<'_>) -> Result<SystemStats, WireError> {
     let runtime = r.u64("runtime")?;
 
-    let n_cores = r.u32("core stats count")? as usize;
-    let mut cores = Vec::with_capacity(n_cores.min(r.remaining() / (CORE_WORDS * 8)));
-    for _ in 0..n_cores {
-        cores.push(CoreStats {
+    let cores = r.list("core stats count", CORE_WORDS * 8, |r| {
+        Ok(CoreStats {
             instructions: r.u64("core stats")?,
             done_cycle: r.u64("core stats")?,
             stall_cycles: [
@@ -583,13 +464,11 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<SystemStats, StoreError> {
             mem_latency_sum: r.u64("core stats")?,
             mem_latency_count: r.u64("core stats")?,
             walk_stall_cycles: r.u64("core stats")?,
-        });
-    }
+        })
+    })?;
 
-    let n_prefetch = r.u32("prefetch stats count")? as usize;
-    let mut prefetch = Vec::with_capacity(n_prefetch.min(r.remaining() / (PREFETCH_WORDS * 8)));
-    for _ in 0..n_prefetch {
-        prefetch.push(PrefetchStats {
+    let prefetch = r.list("prefetch stats count", PREFETCH_WORDS * 8, |r| {
+        Ok(PrefetchStats {
             issued_stream: r.u64("prefetch stats")?,
             issued_indirect: r.u64("prefetch stats")?,
             useful: r.u64("prefetch stats")?,
@@ -604,19 +483,11 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<SystemStats, StoreError> {
             deferred_retries: r.u64("prefetch stats")?,
             mshr_drops: r.u64("prefetch stats")?,
             generated_indirect: r.u64("prefetch stats")?,
-        });
-    }
+        })
+    })?;
 
-    let n_tlb = r.u32("tlb stats count")? as usize;
-    let mut tlb = Vec::with_capacity(n_tlb.min(r.remaining() / (TLB_WORDS * 8)));
-    for _ in 0..n_tlb {
-        tlb.push(decode_tlb(r)?);
-    }
-    let n_huge = r.u32("huge tlb stats count")? as usize;
-    let mut tlb_huge = Vec::with_capacity(n_huge.min(r.remaining() / (TLB_WORDS * 8)));
-    for _ in 0..n_huge {
-        tlb_huge.push(decode_tlb(r)?);
-    }
+    let tlb = r.list("tlb stats count", TLB_WORDS * 8, decode_tlb)?;
+    let tlb_huge = r.list("huge tlb stats count", TLB_WORDS * 8, decode_tlb)?;
     let tlb_l2 = decode_tlb(r)?;
 
     let traffic = TrafficStats {
@@ -638,7 +509,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<SystemStats, StoreError> {
     })
 }
 
-fn decode_tlb(r: &mut Reader<'_>) -> Result<TlbStats, StoreError> {
+fn decode_tlb(r: &mut Reader<'_>) -> Result<TlbStats, WireError> {
     Ok(TlbStats {
         hits: r.u64("tlb stats")?,
         misses: r.u64("tlb stats")?,
@@ -652,59 +523,10 @@ fn decode_tlb(r: &mut Reader<'_>) -> Result<TlbStats, StoreError> {
     })
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, section: &'static str, n: usize) -> Result<&'a [u8], StoreError> {
-        let available = self.remaining();
-        if n > available {
-            return Err(StoreError::Truncated {
-                section,
-                needed: n,
-                available,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn byte(&mut self, section: &'static str) -> Result<u8, StoreError> {
-        Ok(self.take(section, 1)?[0])
-    }
-
-    fn u32(&mut self, section: &'static str) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(
-            self.take(section, 4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, section: &'static str) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(
-            self.take(section, 8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self, section: &'static str) -> Result<String, StoreError> {
-        // The length is untrusted until checked against the bytes that
-        // remain — `take` does that check before any allocation.
-        let len = self.u32(section)? as usize;
-        Ok(std::str::from_utf8(self.take(section, len)?)
-            .map_err(|_| StoreError::BadUtf8(section))?
-            .to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imp_common::wire::restamp;
 
     pub(crate) fn sample() -> StoredResult {
         let mut stats = SystemStats {
@@ -809,12 +631,12 @@ mod tests {
         bad[bytes.len() / 2] ^= 0xff;
         assert!(matches!(
             StoredResult::from_bytes(&bad),
-            Err(StoreError::ChecksumMismatch { .. })
+            Err(StoreError::Wire(WireError::ChecksumMismatch { .. }))
         ));
 
         assert!(matches!(
             StoredResult::from_bytes(&bytes[..4]),
-            Err(StoreError::Truncated { .. })
+            Err(StoreError::Wire(WireError::Truncated { .. }))
         ));
 
         let mut wrong = bytes.clone();
@@ -822,7 +644,7 @@ mod tests {
         restamp(&mut wrong);
         assert!(matches!(
             StoredResult::from_bytes(&wrong),
-            Err(StoreError::BadMagic)
+            Err(StoreError::Wire(WireError::BadMagic))
         ));
     }
 
@@ -833,7 +655,7 @@ mod tests {
         restamp(&mut bytes);
         assert!(matches!(
             StoredResult::from_bytes(&bytes),
-            Err(StoreError::UnsupportedVersion(99))
+            Err(StoreError::Wire(WireError::UnsupportedVersion(99)))
         ));
     }
 
@@ -845,16 +667,10 @@ mod tests {
         restamp(&mut bytes);
         assert!(matches!(
             StoredResult::from_bytes(&bytes),
-            Err(StoreError::Truncated {
+            Err(StoreError::Wire(WireError::Truncated {
                 section: "canonical",
                 ..
-            })
+            }))
         ));
-    }
-
-    pub(crate) fn restamp(bytes: &mut [u8]) {
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
     }
 }

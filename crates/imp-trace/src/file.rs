@@ -8,19 +8,22 @@
 //!
 //! ## Layout (all integers little-endian)
 //!
+//! A trace is one [`imp_common::wire`] frame (magic `b"IMPTRACE"`,
+//! [`VERSION`], FNV-1a trailer) around this body:
+//!
 //! | section | encoding |
 //! |---|---|
-//! | magic | 8 bytes, `b"IMPTRACE"` |
-//! | version | `u32`, currently 1 |
 //! | name | `u32` length + UTF-8 bytes |
 //! | cores | `u32` |
 //! | stream lengths | `u64` per core |
 //! | ops | 16 bytes per op, streams concatenated in core order |
 //! | payload | `u64` length + bytes |
-//! | checksum | `u64` FNV-1a over everything before it |
 //!
 //! Each op encodes as `addr:u64, pc:u32, kind:u8, size:u8, class:u8,
-//! dep:u8` — the same 16 bytes the in-memory [`Op`] occupies.
+//! dep:u8` — the same 16 bytes the in-memory [`Op`] occupies. As in
+//! [`Op::load`] and [`Op::compute`], a load or store is 1, 2, 4 or 8
+//! bytes wide and a compute op's cycle count fits in a `u32`; the
+//! decoder rejects any other op, which the simulator could not run.
 //!
 //! ```
 //! use imp_trace::{file::TraceFile, Op, Program};
@@ -36,7 +39,8 @@
 
 use crate::{Op, OpKind, Program};
 use imp_common::stats::AccessClass;
-use imp_common::{fnv1a, Pc};
+use imp_common::wire::{self, Reader, WireError, Writer};
+use imp_common::Pc;
 use std::fmt;
 use std::path::Path;
 
@@ -54,64 +58,28 @@ pub const OP_BYTES: usize = 16;
 pub enum TraceError {
     /// Underlying filesystem failure.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic,
-    /// The file's version is newer than this reader understands.
-    UnsupportedVersion(u32),
-    /// The file ended before a section was complete.
-    Truncated {
-        /// Which section was being read.
-        section: &'static str,
-        /// Bytes the section needed.
-        needed: usize,
-        /// Bytes that were left.
-        available: usize,
-    },
-    /// The program name is not valid UTF-8.
-    BadName,
-    /// An op's kind byte is not a known [`OpKind`].
-    BadOpKind(u8),
-    /// An op's class byte is not a known [`AccessClass`].
-    BadAccessClass(u8),
-    /// The stored checksum does not match the file contents.
-    ChecksumMismatch {
-        /// Checksum recorded in the file.
-        stored: u64,
-        /// Checksum of the bytes actually read.
-        computed: u64,
-    },
-    /// The file has bytes after the checksum trailer.
-    TrailingBytes(usize),
+    /// The bytes are not a readable `.imptrace` container of this
+    /// [`VERSION`].
+    Wire(WireError),
+    /// A load or store is not 1, 2, 4 or 8 bytes wide, so the simulator
+    /// could not read its value.
+    BadOpSize(u8),
+    /// A compute op's cycle count does not fit in the `u32` that
+    /// [`Op::compute`] takes.
+    ComputeTooLong(u64),
 }
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
-            TraceError::BadMagic => write!(f, "not an .imptrace file (bad magic)"),
-            TraceError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported .imptrace version {v} (reader supports {VERSION})"
-                )
-            }
-            TraceError::Truncated {
-                section,
-                needed,
-                available,
-            } => write!(
+            TraceError::Wire(e) => write!(f, "unreadable .imptrace file: {e}"),
+            TraceError::BadOpSize(size) => write!(
                 f,
-                "truncated .imptrace: {section} needs {needed} bytes, {available} left"
+                "a load or store is {size} bytes wide; the simulator reads 1, 2, 4 or 8"
             ),
-            TraceError::BadName => write!(f, "program name is not valid UTF-8"),
-            TraceError::BadOpKind(b) => write!(f, "unknown op kind byte {b:#x}"),
-            TraceError::BadAccessClass(b) => write!(f, "unknown access class byte {b:#x}"),
-            TraceError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "checksum mismatch: file says {stored:#018x}, contents hash to {computed:#018x}"
-            ),
-            TraceError::TrailingBytes(n) => {
-                write!(f, "{n} unexpected bytes after the checksum trailer")
+            TraceError::ComputeTooLong(cycles) => {
+                write!(f, "a compute op of {cycles} cycles does not fit in a u32")
             }
         }
     }
@@ -121,7 +89,8 @@ impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TraceError::Io(e) => Some(e),
-            _ => None,
+            TraceError::Wire(e) => Some(e),
+            TraceError::BadOpSize(_) | TraceError::ComputeTooLong(_) => None,
         }
     }
 }
@@ -129,6 +98,12 @@ impl std::error::Error for TraceError {
 impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> Self {
         TraceError::Io(e)
+    }
+}
+
+impl From<WireError> for TraceError {
+    fn from(e: WireError) -> Self {
+        TraceError::Wire(e)
     }
 }
 
@@ -160,38 +135,20 @@ impl TraceFile {
     /// Serializes to the `.imptrace` byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
         let cores = self.program.cores();
-        let total_ops: usize = (0..cores).map(|c| self.program.ops(c).len()).sum();
-        let name = self.program.name().as_bytes();
-        let mut out = Vec::with_capacity(
-            MAGIC.len()
-                + 4
-                + 4
-                + name.len()
-                + 4
-                + 8 * cores
-                + OP_BYTES * total_ops
-                + 8
-                + self.payload.len()
-                + 8,
-        );
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name);
-        out.extend_from_slice(&(cores as u32).to_le_bytes());
-        for c in 0..cores {
-            out.extend_from_slice(&(self.program.ops(c).len() as u64).to_le_bytes());
-        }
-        for c in 0..cores {
-            for op in self.program.ops(c) {
-                encode_op(op, &mut out);
+        wire::frame(&MAGIC, VERSION, |w| {
+            w.str(self.program.name());
+            w.count(cores);
+            for c in 0..cores {
+                w.u64(self.program.ops(c).len() as u64);
             }
-        }
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+            for c in 0..cores {
+                for op in self.program.ops(c) {
+                    encode_op(op, w);
+                }
+            }
+            w.u64(self.payload.len() as u64);
+            w.bytes(&self.payload);
+        })
     }
 
     /// Parses the `.imptrace` byte layout.
@@ -199,66 +156,28 @@ impl TraceFile {
     /// # Errors
     ///
     /// Any structural defect — wrong magic, newer version, truncation,
-    /// invalid op bytes, checksum mismatch — comes back as the matching
-    /// [`TraceError`] variant.
+    /// invalid op bytes, checksum mismatch — comes back as
+    /// [`TraceError::Wire`] with the matching [`WireError`]; an op the
+    /// simulator could not run as [`TraceError::BadOpSize`] or
+    /// [`TraceError::ComputeTooLong`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        if bytes.len() < 8 {
-            return Err(TraceError::Truncated {
-                section: "checksum trailer",
-                needed: 8,
-                available: bytes.len(),
-            });
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(TraceError::ChecksumMismatch { stored, computed });
-        }
-
-        let mut r = Reader { buf: body, pos: 0 };
-        if r.take("magic", MAGIC.len())? != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = r.u32("version")?;
-        if version != VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let name_len = r.u32("name length")? as usize;
-        let name = std::str::from_utf8(r.take("name", name_len)?)
-            .map_err(|_| TraceError::BadName)?
-            .to_string();
-        let cores = r.u32("core count")? as usize;
-        // Lengths are untrusted until checked against the bytes that
-        // remain — never size an allocation from them alone, or a
-        // malformed (checksum-valid) file aborts instead of erroring.
-        let mut lens = Vec::with_capacity(cores.min(r.remaining() / 8));
-        for _ in 0..cores {
-            lens.push(r.u64("stream length")? as usize);
-        }
-        let mut program = Program::new(&name, cores);
-        for (c, &len) in lens.iter().enumerate() {
-            let needed = len.saturating_mul(OP_BYTES);
-            if needed > r.remaining() {
-                return Err(TraceError::Truncated {
-                    section: "op stream",
-                    needed,
-                    available: r.remaining(),
-                });
+        wire::unframe(bytes, &MAGIC, VERSION, |r| {
+            let name = r.str("name")?;
+            let lens = r.list("core count", 8, |r| r.u64("stream length"))?;
+            let mut program = Program::new(&name, lens.len());
+            for (c, &len) in lens.iter().enumerate() {
+                let ops = r.records("op stream", len, OP_BYTES)?;
+                let stream = program.core_mut(c);
+                stream.reserve(ops.len() / OP_BYTES);
+                for op in ops.chunks_exact(OP_BYTES) {
+                    stream.push(decode_op(&mut Reader::new(op))?);
+                }
             }
-            let stream = program.core_mut(c);
-            stream.reserve(len);
-            for _ in 0..len {
-                stream.push(decode_op(r.take("op", OP_BYTES)?)?);
-            }
-        }
-        program.freeze();
-        let payload_len = r.u64("payload length")? as usize;
-        let payload = r.take("payload", payload_len)?.to_vec();
-        if r.pos != body.len() {
-            return Err(TraceError::TrailingBytes(body.len() - r.pos));
-        }
-        Ok(TraceFile { program, payload })
+            program.freeze();
+            let payload_len = r.u64("payload length")?;
+            let payload = r.records("payload", payload_len, 1)?.to_vec();
+            Ok(TraceFile { program, payload })
+        })
     }
 
     /// Writes the trace to `path` (conventionally `*.imptrace`).
@@ -301,97 +220,51 @@ impl Program {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, section: &'static str, n: usize) -> Result<&'a [u8], TraceError> {
-        let available = self.remaining();
-        if n > available {
-            return Err(TraceError::Truncated {
-                section,
-                needed: n,
-                available,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self, section: &'static str) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(
-            self.take(section, 4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, section: &'static str) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(
-            self.take(section, 8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-fn encode_op(op: &Op, out: &mut Vec<u8>) {
-    out.extend_from_slice(&op.addr.to_le_bytes());
-    out.extend_from_slice(&op.pc.raw().to_le_bytes());
-    out.push(kind_byte(op.kind));
-    out.push(op.size);
-    out.push(op.class.index() as u8);
-    out.push(op.dep);
-}
-
-fn decode_op(bytes: &[u8]) -> Result<Op, TraceError> {
-    debug_assert_eq!(bytes.len(), OP_BYTES);
-    Ok(Op {
-        addr: u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
-        pc: Pc::new(u32::from_le_bytes(
-            bytes[8..12].try_into().expect("4 bytes"),
-        )),
-        kind: kind_from_byte(bytes[12])?,
-        size: bytes[13],
-        class: class_from_byte(bytes[14])?,
-        dep: bytes[15],
-    })
-}
-
-fn kind_byte(kind: OpKind) -> u8 {
-    match kind {
+fn encode_op(op: &Op, w: &mut Writer) {
+    w.u64(op.addr);
+    w.u32(op.pc.raw());
+    w.u8(match op.kind {
         OpKind::Compute => 0,
         OpKind::Load => 1,
         OpKind::Store => 2,
         OpKind::SwPrefetch => 3,
         OpKind::Barrier => 4,
+    });
+    w.u8(op.size);
+    w.u8(op.class.index() as u8);
+    w.u8(op.dep);
+}
+
+fn decode_op(r: &mut Reader<'_>) -> Result<Op, TraceError> {
+    let op = Op {
+        addr: r.u64("op")?,
+        pc: Pc::new(r.u32("op")?),
+        kind: match r.tag("op kind", 5)? {
+            0 => OpKind::Compute,
+            1 => OpKind::Load,
+            2 => OpKind::Store,
+            3 => OpKind::SwPrefetch,
+            _ => OpKind::Barrier,
+        },
+        size: r.u8("op")?,
+        class: AccessClass::ALL[usize::from(r.tag("access class", AccessClass::ALL.len() as u8)?)],
+        dep: r.u8("op")?,
+    };
+    match op.kind {
+        OpKind::Load | OpKind::Store if !matches!(op.size, 1 | 2 | 4 | 8) => {
+            Err(TraceError::BadOpSize(op.size))
+        }
+        OpKind::Compute if op.addr > u64::from(u32::MAX) => {
+            Err(TraceError::ComputeTooLong(op.addr))
+        }
+        _ => Ok(op),
     }
-}
-
-fn kind_from_byte(b: u8) -> Result<OpKind, TraceError> {
-    Ok(match b {
-        0 => OpKind::Compute,
-        1 => OpKind::Load,
-        2 => OpKind::Store,
-        3 => OpKind::SwPrefetch,
-        4 => OpKind::Barrier,
-        other => return Err(TraceError::BadOpKind(other)),
-    })
-}
-
-fn class_from_byte(b: u8) -> Result<AccessClass, TraceError> {
-    AccessClass::ALL
-        .get(b as usize)
-        .copied()
-        .ok_or(TraceError::BadAccessClass(b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imp_common::wire::restamp;
     use imp_common::Addr;
 
     fn sample() -> Program {
@@ -450,24 +323,22 @@ mod tests {
         bad[bytes.len() / 2] ^= 0xff;
         assert!(matches!(
             TraceFile::from_bytes(&bad),
-            Err(TraceError::ChecksumMismatch { .. })
+            Err(TraceError::Wire(WireError::ChecksumMismatch { .. }))
         ));
 
         // Truncation before the trailer.
         assert!(matches!(
             TraceFile::from_bytes(&bytes[..4]),
-            Err(TraceError::Truncated { .. })
+            Err(TraceError::Wire(WireError::Truncated { .. }))
         ));
 
         // Wrong magic with a fixed-up checksum.
         let mut wrong = bytes.clone();
         wrong[0] = b'X';
-        let body_len = wrong.len() - 8;
-        let sum = fnv1a(&wrong[..body_len]);
-        wrong[body_len..].copy_from_slice(&sum.to_le_bytes());
+        restamp(&mut wrong);
         assert!(matches!(
             TraceFile::from_bytes(&wrong),
-            Err(TraceError::BadMagic)
+            Err(TraceError::Wire(WireError::BadMagic))
         ));
     }
 
@@ -481,15 +352,13 @@ mod tests {
         // re-stamp the checksum so only the length check can reject it.
         let len_at = 8 + 4 + 4 + 1 + 4;
         bytes[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        restamp(&mut bytes);
         assert!(matches!(
             TraceFile::from_bytes(&bytes),
-            Err(TraceError::Truncated {
+            Err(TraceError::Wire(WireError::Truncated {
                 section: "op stream",
                 ..
-            })
+            }))
         ));
     }
 
@@ -497,12 +366,37 @@ mod tests {
     fn newer_versions_are_rejected() {
         let mut bytes = TraceFile::new(sample()).to_bytes();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        restamp(&mut bytes);
         assert!(matches!(
             TraceFile::from_bytes(&bytes),
-            Err(TraceError::UnsupportedVersion(99))
+            Err(TraceError::Wire(WireError::UnsupportedVersion(99)))
+        ));
+    }
+
+    #[test]
+    fn ops_the_simulator_cannot_run_are_typed_errors() {
+        let decode = |op: Op| {
+            let mut p = Program::new("k", 1);
+            p.core_mut(0).push(op);
+            TraceFile::from_bytes(&TraceFile::new(p).to_bytes())
+        };
+        let load = |size| Op::load(Addr::new(0x40), size, Pc::new(1), AccessClass::Indirect);
+        let store = |size| Op::store(Addr::new(0x40), size, Pc::new(1), AccessClass::Other);
+        for size in [1, 2, 4, 8] {
+            assert!(decode(load(size)).is_ok(), "{size}-byte load");
+            assert!(decode(store(size)).is_ok(), "{size}-byte store");
+        }
+        for size in [0, 3, 16] {
+            assert!(matches!(decode(load(size)), Err(TraceError::BadOpSize(s)) if s == size));
+            assert!(matches!(decode(store(size)), Err(TraceError::BadOpSize(s)) if s == size));
+        }
+
+        assert!(decode(Op::compute(u32::MAX)).is_ok());
+        let mut too_long = Op::compute(0);
+        too_long.addr = u64::from(u32::MAX) + 1;
+        assert!(matches!(
+            decode(too_long),
+            Err(TraceError::ComputeTooLong(c)) if c == too_long.addr
         ));
     }
 
@@ -515,12 +409,13 @@ mod tests {
         // record starts after magic(8)+version(4)+name(4+1)+cores(4)+len(8).
         let op_start = 8 + 4 + 4 + 1 + 4 + 8;
         bytes[op_start + 12] = 200;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        restamp(&mut bytes);
         assert!(matches!(
             TraceFile::from_bytes(&bytes),
-            Err(TraceError::BadOpKind(200))
+            Err(TraceError::Wire(WireError::BadTag {
+                section: "op kind",
+                value: 200
+            }))
         ));
     }
 }

@@ -1,8 +1,9 @@
 //! Property tests: the binary `.imptrace` encoding round-trips arbitrary
-//! op streams exactly.
+//! op streams exactly, and damage behind a valid checksum is a typed
+//! error, never a panic.
 
 use imp_common::stats::AccessClass;
-use imp_common::{Addr, Pc};
+use imp_common::{wire, Addr, Pc};
 use imp_trace::{Op, Program, TraceFile};
 use proptest::prelude::*;
 
@@ -69,5 +70,37 @@ proptest! {
         let i = (flip_at % bytes.len() as u64) as usize;
         bad[i] ^= flip_bits;
         prop_assert!(TraceFile::from_bytes(&bad).is_err(), "flip at byte {}", i);
+    }
+
+    /// Damage behind a re-stamped checksum reaches the body decoder,
+    /// which returns a trace or a typed error and never panics; any
+    /// trace it accepts re-encodes to one it accepts again.
+    #[test]
+    fn imptrace_decoder_survives_restamped_damage(
+        streams in proptest::collection::vec(
+            proptest::collection::vec(
+                (any::<u8>(), any::<u64>(), any::<u32>(), any::<u8>(), any::<u8>(), any::<u8>())
+                    .prop_map(|(s, a, p, z, c, d)| op_from(s, a, p, z, c, d)),
+                0..8,
+            ),
+            1..4,
+        ),
+        payload in proptest::collection::vec(any::<u8>(), 0..16),
+        edits in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..4),
+    ) {
+        let mut program = Program::new("fuzz", streams.len());
+        for (c, ops) in streams.iter().enumerate() {
+            program.core_mut(c).extend_from_slice(ops);
+        }
+        let mut bytes = TraceFile::with_payload(program, payload).to_bytes();
+        for (kind, at, value) in edits {
+            wire::mutate(&mut bytes, kind, at, value);
+        }
+        wire::restamp(&mut bytes);
+        if let Ok(back) = TraceFile::from_bytes(&bytes) {
+            let again = back.to_bytes();
+            let reread = TraceFile::from_bytes(&again).map(|t| t.to_bytes());
+            prop_assert_eq!(reread.ok(), Some(again));
+        }
     }
 }

@@ -13,7 +13,8 @@
 //! extent and declared [`PagePolicy`]), and finally the
 //! [`FunctionalMemory::snapshot`] image — so a saved trace replays with
 //! the genuine index-array contents IMP reads *and* the page placement
-//! the generator declared.
+//! the generator declared. Every part is read and written through
+//! [`imp_common::wire`].
 //!
 //! ```no_run
 //! use imp_workloads::{by_name, BuiltArtifact, Scale, WorkloadParams};
@@ -30,6 +31,7 @@
 //! ```
 
 use crate::{Built, Workload, WorkloadParams};
+use imp_common::wire::{Reader, WireError, Writer};
 use imp_common::{MemRegion, PagePolicy};
 use imp_mem::{FunctionalMemory, SnapshotError};
 use imp_trace::{Program, TraceError, TraceFile};
@@ -97,9 +99,7 @@ impl BuiltArtifact {
     /// Filesystem failures surface as
     /// [`ArtifactError::Trace`]`(`[`TraceError::Io`]`)`.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
-        let mut payload = self.inner.result.to_le_bytes().to_vec();
-        encode_regions(&self.inner.regions, &mut payload);
-        payload.extend_from_slice(&self.inner.mem.snapshot());
+        let payload = encode_payload(&self.inner);
         TraceFile::with_payload(self.inner.program.clone(), payload).save(path)?;
         Ok(())
     }
@@ -120,23 +120,8 @@ impl BuiltArtifact {
     /// image) as the other variants.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
         let tf = TraceFile::load(path)?;
-        let (result, regions, mem) = if tf.payload.is_empty() {
-            (f64::NAN, Vec::new(), FunctionalMemory::new())
-        } else {
-            if tf.payload.len() < 8 {
-                return Err(ArtifactError::ShortPayload(tf.payload.len()));
-            }
-            let (result_bytes, rest) = tf.payload.split_at(8);
-            let result = f64::from_le_bytes(result_bytes.try_into().expect("8 bytes"));
-            let (regions, image) = decode_regions(rest)?;
-            (result, regions, FunctionalMemory::restore(image)?)
-        };
-        Ok(BuiltArtifact::from(Built {
-            program: tf.program,
-            mem,
-            result,
-            regions,
-        }))
+        let built = decode_payload(tf.program, &tf.payload)?;
+        Ok(BuiltArtifact::from(built))
     }
 }
 
@@ -147,78 +132,80 @@ impl BuiltArtifact {
 /// cannot collide and old artifacts keep loading (with no regions).
 const REGIONS_MAGIC: [u8; 8] = *b"IMPREGN1";
 
+/// Serializes the payload of `built`: its result, region records and
+/// memory image.
+fn encode_payload(built: &Built) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u64(built.result.to_bits());
+    encode_regions(&built.regions, &mut w);
+    w.bytes(&built.mem.snapshot());
+    w.into_bytes()
+}
+
+/// Parses a payload written by [`encode_payload`] back into a [`Built`]
+/// around `program`. An empty payload — a program-only trace — carries
+/// no result (`NaN`), no regions and an empty memory.
+fn decode_payload(program: Program, payload: &[u8]) -> Result<Built, ArtifactError> {
+    let mut built = Built {
+        program,
+        mem: FunctionalMemory::new(),
+        result: f64::NAN,
+        regions: Vec::new(),
+    };
+    if !payload.is_empty() {
+        let mut r = Reader::new(payload);
+        built.result = f64::from_bits(r.u64("artifact result")?);
+        built.regions = decode_regions(&mut r)?;
+        built.mem = FunctionalMemory::restore(r.rest())?;
+    }
+    Ok(built)
+}
+
 /// Serializes the region/placement records: the [`REGIONS_MAGIC`]
 /// marker, a `u32` count, then per region a length-prefixed UTF-8
 /// name, `u64` base, `u64` bytes, a policy tag byte (0 = `Base4K`,
 /// 1 = `Huge2M`, 2 = `Auto`) and the `u64` policy argument (the
 /// `Auto` threshold; 0 otherwise).
-fn encode_regions(regions: &[MemRegion], out: &mut Vec<u8>) {
-    out.extend_from_slice(&REGIONS_MAGIC);
-    out.extend_from_slice(&(regions.len() as u32).to_le_bytes());
+fn encode_regions(regions: &[MemRegion], w: &mut Writer) {
+    w.bytes(&REGIONS_MAGIC);
+    w.count(regions.len());
     for r in regions {
-        out.extend_from_slice(&(r.name.len() as u32).to_le_bytes());
-        out.extend_from_slice(r.name.as_bytes());
-        out.extend_from_slice(&r.base.to_le_bytes());
-        out.extend_from_slice(&r.bytes.to_le_bytes());
+        w.str(&r.name);
+        w.u64(r.base);
+        w.u64(r.bytes);
         let (tag, arg) = match r.policy {
             PagePolicy::Base4K => (0u8, 0u64),
             PagePolicy::Huge2M => (1, 0),
             PagePolicy::Auto { threshold_bytes } => (2, threshold_bytes),
         };
-        out.push(tag);
-        out.extend_from_slice(&arg.to_le_bytes());
+        w.u8(tag);
+        w.u64(arg);
     }
 }
 
-/// Parses the region records written by [`encode_regions`], returning
-/// them together with the remaining (memory-image) bytes. A payload
-/// without the [`REGIONS_MAGIC`] marker predates region records (or
-/// was written by an external recorder): it decodes as no regions,
-/// with every byte belonging to the memory image.
-fn decode_regions(bytes: &[u8]) -> Result<(Vec<MemRegion>, &[u8]), ArtifactError> {
-    let Some(body) = bytes.strip_prefix(&REGIONS_MAGIC[..]) else {
-        return Ok((Vec::new(), bytes));
-    };
-    let bytes = body;
-    fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], ArtifactError> {
-        if n > bytes.len() - *pos {
-            return Err(ArtifactError::MalformedRegions("truncated region records"));
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
+/// Parses the region records written by [`encode_regions`], leaving
+/// the memory image in `r`. A payload without the [`REGIONS_MAGIC`]
+/// marker predates region records (or was written by an external
+/// recorder): it decodes as no regions, with every byte belonging to
+/// the memory image.
+fn decode_regions(r: &mut Reader<'_>) -> Result<Vec<MemRegion>, WireError> {
+    if !r.rest().starts_with(&REGIONS_MAGIC) {
+        return Ok(Vec::new());
     }
-    let mut pos = 0usize;
-    let count = u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-    // The count is untrusted until checked against the bytes that
-    // follow — cap the pre-allocation by the smallest possible record.
-    let mut regions = Vec::with_capacity(count.min(bytes.len() / 29));
-    for _ in 0..count {
-        let name_len =
-            u32::from_le_bytes(take(bytes, &mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let name = std::str::from_utf8(take(bytes, &mut pos, name_len)?)
-            .map_err(|_| ArtifactError::MalformedRegions("region name is not UTF-8"))?
-            .to_string();
-        let base = u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes"));
-        let tag = take(bytes, &mut pos, 1)?[0];
-        let arg = u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes"));
-        let policy = match tag {
-            0 => PagePolicy::Base4K,
-            1 => PagePolicy::Huge2M,
-            2 => PagePolicy::Auto {
-                threshold_bytes: arg,
+    r.take("region marker", REGIONS_MAGIC.len())?;
+    // A record is at least a name length, base, bytes, tag and argument.
+    r.list("region count", 4 + 8 + 8 + 1 + 8, |r| {
+        Ok(MemRegion {
+            name: r.str("region name")?,
+            base: r.u64("region base")?,
+            bytes: r.u64("region bytes")?,
+            policy: match (r.tag("page policy", 3)?, r.u64("page policy argument")?) {
+                (0, _) => PagePolicy::Base4K,
+                (1, _) => PagePolicy::Huge2M,
+                (_, threshold_bytes) => PagePolicy::Auto { threshold_bytes },
             },
-            _ => return Err(ArtifactError::MalformedRegions("unknown page-policy tag")),
-        };
-        regions.push(MemRegion {
-            name,
-            base,
-            bytes: len,
-            policy,
-        });
-    }
-    Ok((regions, &bytes[pos..]))
+        })
+    })
 }
 
 /// Why an artifact could not be saved or loaded.
@@ -226,10 +213,9 @@ fn decode_regions(bytes: &[u8]) -> Result<(Vec<MemRegion>, &[u8]), ArtifactError
 pub enum ArtifactError {
     /// The `.imptrace` container itself failed (I/O, corruption, ...).
     Trace(TraceError),
-    /// The container's payload ends before the 8-byte result field.
-    ShortPayload(usize),
-    /// The region/placement records inside the payload are malformed.
-    MalformedRegions(&'static str),
+    /// The result field or the region/placement records inside the
+    /// payload are malformed.
+    Wire(WireError),
     /// The memory image inside the payload is malformed.
     Memory(SnapshotError),
 }
@@ -238,13 +224,7 @@ impl fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ArtifactError::Trace(e) => write!(f, "{e}"),
-            ArtifactError::ShortPayload(n) => write!(
-                f,
-                "artifact payload is {n} bytes; needs at least the 8-byte result"
-            ),
-            ArtifactError::MalformedRegions(what) => {
-                write!(f, "artifact region records are malformed: {what}")
-            }
+            ArtifactError::Wire(e) => write!(f, "unreadable artifact payload: {e}"),
             ArtifactError::Memory(e) => write!(f, "{e}"),
         }
     }
@@ -254,8 +234,8 @@ impl std::error::Error for ArtifactError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ArtifactError::Trace(e) => Some(e),
+            ArtifactError::Wire(e) => Some(e),
             ArtifactError::Memory(e) => Some(e),
-            ArtifactError::ShortPayload(_) | ArtifactError::MalformedRegions(_) => None,
         }
     }
 }
@@ -263,6 +243,12 @@ impl std::error::Error for ArtifactError {
 impl From<TraceError> for ArtifactError {
     fn from(e: TraceError) -> Self {
         ArtifactError::Trace(e)
+    }
+}
+
+impl From<WireError> for ArtifactError {
+    fn from(e: WireError) -> Self {
+        ArtifactError::Wire(e)
     }
 }
 
@@ -490,34 +476,39 @@ mod tests {
                 },
             },
         ];
-        let mut bytes = Vec::new();
-        encode_regions(&regions, &mut bytes);
-        bytes.extend_from_slice(b"tail");
-        let (back, rest) = decode_regions(&bytes).unwrap();
-        assert_eq!(back, regions);
-        assert_eq!(rest, b"tail");
+        let mut w = Writer::default();
+        encode_regions(&regions, &mut w);
+        w.bytes(b"tail");
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(decode_regions(&mut r).unwrap(), regions);
+        assert_eq!(r.rest(), b"tail");
 
         // A payload without the marker is the pre-region layout: no
         // records, every byte left for the memory image — old
         // artifacts keep loading.
         let legacy = FunctionalMemory::new().snapshot();
-        let (none, rest) = decode_regions(&legacy).unwrap();
-        assert!(none.is_empty());
-        assert_eq!(rest, &legacy[..]);
+        let mut r = Reader::new(&legacy);
+        assert!(decode_regions(&mut r).unwrap().is_empty());
+        assert_eq!(r.rest(), &legacy[..]);
 
         // Truncation and a bad policy tag are typed errors.
         assert!(matches!(
-            decode_regions(&bytes[..10]),
-            Err(ArtifactError::MalformedRegions(_))
+            decode_regions(&mut Reader::new(&bytes[..10])),
+            Err(WireError::Truncated { .. })
         ));
-        let mut bad_tag = Vec::new();
-        encode_regions(&regions[..1], &mut bad_tag);
+        let mut w = Writer::default();
+        encode_regions(&regions[..1], &mut w);
+        let mut bad_tag = w.into_bytes();
         let tag_at = bad_tag.len() - 9;
         bad_tag[tag_at] = 99;
-        assert!(matches!(
-            decode_regions(&bad_tag),
-            Err(ArtifactError::MalformedRegions("unknown page-policy tag"))
-        ));
+        assert_eq!(
+            decode_regions(&mut Reader::new(&bad_tag)),
+            Err(WireError::BadTag {
+                section: "page policy",
+                value: 99
+            })
+        );
     }
 
     #[test]
@@ -538,6 +529,54 @@ mod tests {
         assert_eq!(loaded.result(), built.result);
         assert!(loaded.regions().is_empty(), "old artifacts carry none");
         assert_eq!(loaded.mem().mapped_pages(), built.mem.mapped_pages());
+    }
+
+    #[test]
+    fn payload_decoder_survives_damage() {
+        // The crate has no proptest dev-dependency, so a seeded generator
+        // drives the same edits as the other decoders' proptests. Each
+        // damaged payload decodes or fails with a typed error, never a
+        // panic, and whatever decodes re-encodes to a payload that
+        // decodes again.
+        let mut mem = FunctionalMemory::new();
+        mem.write_u64(imp_common::Addr::new(0x4000), 0x1234);
+        let sample = |mem: FunctionalMemory| {
+            encode_payload(&Built {
+                program: Program::new("fuzz", 1),
+                mem,
+                result: 2.5,
+                regions: vec![
+                    MemRegion {
+                        name: "idx".into(),
+                        base: 0x4000,
+                        bytes: 4096,
+                        policy: PagePolicy::Base4K,
+                    },
+                    MemRegion {
+                        name: "target".into(),
+                        base: 0x10_0000,
+                        bytes: 1 << 21,
+                        policy: PagePolicy::Auto {
+                            threshold_bytes: 1 << 20,
+                        },
+                    },
+                ],
+            })
+        };
+        let samples = [sample(FunctionalMemory::new()), sample(mem)];
+        let mut rng = imp_common::SplitMix64::new(0x1a9e);
+        for case in 0..512 {
+            let mut payload = samples[case % 2].clone();
+            for _ in 0..=rng.next_below(3) {
+                let (kind, at, value) = (rng.next_u64() as u8, rng.next_u64(), rng.next_u64());
+                imp_common::wire::mutate(&mut payload, kind, at, value);
+            }
+            if let Ok(built) = decode_payload(Program::new("fuzz", 1), &payload) {
+                let again = encode_payload(&built);
+                let reread = decode_payload(Program::new("fuzz", 1), &again);
+                assert_eq!(reread.map(|b| encode_payload(&b)).ok(), Some(again));
+            }
+        }
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //!   results are bit-identical to rebuilding per cell;
 //! * an `.imptrace` saved from a stock workload replays — through the
 //!   `trace:<path>` pseudo-workload and through `Sim::run_on` — to the
-//!   same `SystemStats` as the live build.
+//!   same `SystemStats` as the live build;
+//! * a checksum-valid trace holding ops the simulator cannot run fails
+//!   to decode and to replay with typed errors instead of panicking.
 //!
 //! Each test uses a different workload name so the per-name build
 //! counters don't interfere across this binary's parallel test threads.
 
 use imp::prelude::*;
+use imp::trace::TraceError;
 use imp::workloads::{build_count, BuiltArtifact};
 use std::path::PathBuf;
 
@@ -203,5 +206,55 @@ fn page_policy_axis_shares_one_built_artifact_and_replays() {
     assert_eq!(
         replayed, results[1].stats,
         "placement survives record/replay"
+    );
+}
+
+/// Saves `program` as a trace, then checks that decoding it fails as
+/// `expected` accepts and that replaying it under IMP is a typed error.
+fn check_rejected(tag: &str, program: Program, expected: fn(&TraceError) -> bool) {
+    let path = temp_path(tag);
+    program.save(&path).unwrap();
+    let decoded = TraceFile::load(&path);
+    let replayed = Sim::workload(format!("trace:{}", path.display()))
+        .cores(4)
+        .prefetcher("imp")
+        .run();
+    std::fs::remove_file(&path).ok();
+    assert!(decoded.as_ref().is_err_and(expected), "{tag}: {decoded:?}");
+    assert!(
+        matches!(replayed, Err(SimError::Build(_))),
+        "{tag}: {replayed:?}"
+    );
+}
+
+/// Two checksum-valid traces the simulator cannot run. One streams
+/// 3-byte index loads, which IMP reads as index values of an
+/// unsupported width. The other holds a compute op of `u64::MAX - 3`
+/// cycles, more than the `u32` that `Op::compute` takes, which would
+/// overflow the in-order core's clock. Each is a typed error when
+/// decoded, and replaying it under IMP is a typed error, not a panic.
+#[test]
+fn unrunnable_ops_are_typed_errors_at_decode_and_replay() {
+    let mut odd_size = Program::new("odd-size", 4);
+    for i in 0..256u64 {
+        odd_size.core_mut(0).push(Op::load(
+            Addr::new(0x1_0000 + 3 * i),
+            3,
+            Pc::new(1),
+            AccessClass::Stream,
+        ));
+    }
+    let mut huge_compute = Program::new("huge-compute", 4);
+    let mut op = Op::compute(0);
+    op.addr = u64::MAX - 3;
+    huge_compute.core_mut(0).push(op);
+
+    check_rejected("odd-size", odd_size, |e| {
+        matches!(e, TraceError::BadOpSize(3))
+    });
+    check_rejected(
+        "huge-compute",
+        huge_compute,
+        |e| matches!(e, TraceError::ComputeTooLong(c) if *c == u64::MAX - 3),
     );
 }
