@@ -123,21 +123,10 @@ pub fn run(app: &str, cores: u32, config: Config) -> SystemStats {
     if let Ok(Some(hit)) = store().get(&canonical) {
         return hit.stats;
     }
-    let cfg = system_config(cores, config);
-    let seed = sim.seed_value();
     let stats = sim.run().unwrap_or_else(|e| panic!("{e}"));
     let _ = store().put(&StoredResult {
         canonical,
-        cell: CellKey {
-            workload: app.to_string(),
-            cores,
-            prefetcher: cfg.prefetcher,
-            manager: cfg.manager,
-            partial: cfg.partial,
-            tlb: cfg.tlb,
-            page_policy: Vec::new(),
-            seed,
-        },
+        cell: CellKey::from(&sim),
         stats: stats.clone(),
     });
     stats

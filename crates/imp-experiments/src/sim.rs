@@ -28,9 +28,10 @@ use imp_common::config::{
     CoreModel, DramModelKind, MemMode, PagePolicy, PartialMode, PrefetcherSpec, TlbConfig,
     TranslationPolicy, WalkModel,
 };
-use imp_common::{ImpConfig, MemRegion, SystemConfig, SystemStats};
+use imp_common::{ImpConfig, MemConfig, MemRegion, SystemConfig, SystemStats};
 use imp_obs::{ObsConfig, ObsReport, Probe};
 use imp_sim::{BuildError, RegistryError, RunError, System, VmConfigError};
+use imp_store::CellKey;
 use imp_trace::BarrierMismatch;
 use imp_workloads::{by_name, BuiltArtifact, ChainSpec, Scale, WorkloadError, WorkloadParams};
 use std::fmt;
@@ -165,20 +166,16 @@ impl From<BuildError> for SimError {
 #[derive(Clone, Debug)]
 pub struct Sim {
     workload: String,
-    cores: u32,
+    /// The requested core count, which [`Sim::config`] validates.
+    pub(crate) cores: u32,
     scale: Scale,
     seed: u64,
     sw_prefetch: Option<u64>,
-    prefetcher: PrefetcherSpec,
-    manager: Option<PrefetcherSpec>,
-    partial: PartialMode,
-    mem_mode: MemMode,
-    core_model: CoreModel,
-    dram: DramModelKind,
-    imp: ImpConfig,
-    tlb: TlbConfig,
+    /// The configuration this builder runs, which every timing setter
+    /// writes. [`Sim::config`] rescales it when `cores` differs from
+    /// `cfg.cores`.
+    pub(crate) cfg: SystemConfig,
     page_policies: Vec<(String, PagePolicy)>,
-    base_config: Option<SystemConfig>,
     spec_error: Option<String>,
     event_budget: Option<u64>,
     observe: Option<ObsConfig>,
@@ -188,26 +185,7 @@ impl Sim {
     /// Starts a builder for the named workload (the paper's seven
     /// kernels plus the `dense` control).
     pub fn workload(name: impl Into<String>) -> Self {
-        Sim {
-            workload: name.into(),
-            cores: 16,
-            scale: Scale::Small,
-            seed: 42,
-            sw_prefetch: None,
-            prefetcher: PrefetcherSpec::default(),
-            manager: None,
-            partial: PartialMode::Off,
-            mem_mode: MemMode::Realistic,
-            core_model: CoreModel::InOrder,
-            dram: DramModelKind::Simple,
-            imp: ImpConfig::paper_default(),
-            tlb: TlbConfig::ideal(),
-            page_policies: Vec::new(),
-            base_config: None,
-            spec_error: None,
-            event_budget: None,
-            observe: None,
-        }
+        Sim::from_config(name, SystemConfig::paper_default(16))
     }
 
     /// Starts a builder from a fully explicit [`SystemConfig`] — the
@@ -216,22 +194,27 @@ impl Sim {
     ///
     /// The config seeds the builder's state; fluent setters still apply
     /// on top of it, so a `Sweep` can vary axes of a `from_config` base.
-    /// Changing [`Sim::cores`] afterwards rebuilds the mesh-dependent
-    /// geometry (L2 slices, memory controllers) at paper defaults for
-    /// the new count, preserving every non-geometry field.
+    /// Changing [`Sim::cores`] afterwards replaces the whole memory
+    /// system, `cfg.mem` — cache geometry, hop and DRAM latencies, DRAM
+    /// bandwidth, memory controllers — with
+    /// [`SystemConfig::paper_default`]'s for the new count, keeping only
+    /// its DRAM model. The other fields carry over: prefetcher,
+    /// manager, partial mode, memory mode, core model, IMP parameters,
+    /// TLB, ROB size and PerfPref lead. Setting the count back restores
+    /// `cfg` as given.
     pub fn from_config(workload: impl Into<String>, cfg: SystemConfig) -> Self {
-        let mut s = Sim::workload(workload);
-        s.cores = cfg.cores;
-        s.prefetcher = cfg.prefetcher.clone();
-        s.manager = cfg.manager.clone();
-        s.partial = cfg.partial;
-        s.mem_mode = cfg.mem_mode;
-        s.core_model = cfg.core_model;
-        s.dram = cfg.mem.dram;
-        s.imp = cfg.imp.clone();
-        s.tlb = cfg.tlb;
-        s.base_config = Some(cfg);
-        s
+        Sim {
+            workload: workload.into(),
+            cores: cfg.cores,
+            scale: Scale::Small,
+            seed: 42,
+            sw_prefetch: None,
+            cfg,
+            page_policies: Vec::new(),
+            spec_error: None,
+            event_budget: None,
+            observe: None,
+        }
     }
 
     /// Core/tile count (a positive perfect square: 16, 64, 256, ...).
@@ -268,7 +251,7 @@ impl Sim {
         S::Error: fmt::Display,
     {
         match spec.try_into() {
-            Ok(s) => self.prefetcher = s,
+            Ok(s) => self.cfg.prefetcher = s,
             Err(e) => self.spec_error = Some(e.to_string()),
         }
         self
@@ -292,18 +275,9 @@ impl Sim {
         S::Error: fmt::Display,
     {
         match spec.try_into() {
-            Ok(s) => self.manager = Some(s),
+            Ok(s) => self.cfg.manager = Some(s),
             Err(e) => self.spec_error = Some(e.to_string()),
         }
-        self
-    }
-
-    /// Installs (or clears) the manager directly. The sweep's manager
-    /// axis needs this: the fluent [`Sim::manager`] setter can only
-    /// install a spec, while a `"none"` axis value must *clear* the
-    /// template's manager for its cells.
-    pub(crate) fn set_manager(mut self, spec: Option<PrefetcherSpec>) -> Self {
-        self.manager = spec;
         self
     }
 
@@ -325,28 +299,28 @@ impl Sim {
     /// Partial cacheline accessing mode (Section 4).
     #[must_use]
     pub fn partial(mut self, mode: PartialMode) -> Self {
-        self.partial = mode;
+        self.cfg.partial = mode;
         self
     }
 
     /// Memory-subsystem mode (Realistic / PerfectPrefetch / Ideal).
     #[must_use]
     pub fn mem_mode(mut self, mode: MemMode) -> Self {
-        self.mem_mode = mode;
+        self.cfg.mem_mode = mode;
         self
     }
 
     /// Core microarchitecture model.
     #[must_use]
     pub fn core_model(mut self, model: CoreModel) -> Self {
-        self.core_model = model;
+        self.cfg.core_model = model;
         self
     }
 
     /// DRAM timing model.
     #[must_use]
     pub fn dram(mut self, model: DramModelKind) -> Self {
-        self.dram = model;
+        self.cfg.mem.dram = model;
         self
     }
 
@@ -354,7 +328,7 @@ impl Sim {
     /// [`TlbConfig`]); the default is ideal, zero-cost translation.
     #[must_use]
     pub fn tlb(mut self, cfg: TlbConfig) -> Self {
-        self.tlb = cfg;
+        self.cfg.tlb = cfg;
         self
     }
 
@@ -364,7 +338,7 @@ impl Sim {
     /// pages.
     #[must_use]
     pub fn page_size(mut self, bytes: u64) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_page_bytes(bytes);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_page_bytes(bytes);
         self
     }
 
@@ -372,7 +346,7 @@ impl Sim {
     /// finite defaults first.
     #[must_use]
     pub fn tlb_ways(mut self, ways: u32) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_ways(ways);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_ways(ways);
         self
     }
 
@@ -380,7 +354,7 @@ impl Sim {
     /// an ideal TLB to finite defaults first.
     #[must_use]
     pub fn translation_policy(mut self, policy: TranslationPolicy) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_policy(policy);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_policy(policy);
         self
     }
 
@@ -389,7 +363,7 @@ impl Sim {
     /// TLB to finite defaults first.
     #[must_use]
     pub fn l2_tlb(mut self, sets: u32, ways: u32) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_l2(sets, ways);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_l2(sets, ways);
         self
     }
 
@@ -399,7 +373,7 @@ impl Sim {
     /// defaults first.
     #[must_use]
     pub fn tlb_prefetch(mut self, on: bool) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_tlb_prefetch(on);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_tlb_prefetch(on);
         self
     }
 
@@ -408,7 +382,7 @@ impl Sim {
     /// Upgrades an ideal TLB to finite defaults first.
     #[must_use]
     pub fn walk_model(mut self, model: WalkModel) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_walk_model(model);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_walk_model(model);
         self
     }
 
@@ -416,7 +390,7 @@ impl Sim {
     /// 2 MB structure). Upgrades an ideal TLB to finite defaults first.
     #[must_use]
     pub fn huge_tlb(mut self, sets: u32, ways: u32) -> Self {
-        self.tlb = self.tlb.finite_or_self().with_huge_tlb(sets, ways);
+        self.cfg.tlb = self.cfg.tlb.finite_or_self().with_huge_tlb(sets, ways);
         self
     }
 
@@ -430,7 +404,7 @@ impl Sim {
     /// ideal TLB never translates, so placement would be meaningless).
     #[must_use]
     pub fn page_policy(mut self, region: impl Into<String>, policy: PagePolicy) -> Self {
-        self.tlb = self.tlb.finite_or_self();
+        self.cfg.tlb = self.cfg.tlb.finite_or_self();
         self.page_policies.push((region.into(), policy));
         self
     }
@@ -450,7 +424,7 @@ impl Sim {
             .map(|(name, policy)| (name.into(), policy))
             .collect();
         if !self.page_policies.is_empty() {
-            self.tlb = self.tlb.finite_or_self();
+            self.cfg.tlb = self.cfg.tlb.finite_or_self();
         }
         self
     }
@@ -484,7 +458,7 @@ impl Sim {
     /// Adjusts the IMP hardware parameter block (Table 2) in place.
     #[must_use]
     pub fn tune_imp(mut self, f: impl FnOnce(&mut ImpConfig)) -> Self {
-        f(&mut self.imp);
+        f(&mut self.cfg.imp);
         self
     }
 
@@ -549,27 +523,22 @@ impl Sim {
         if self.cores == 0 || side * side != self.cores {
             return Err(SimError::InvalidCores(self.cores));
         }
-        let mut cfg = match &self.base_config {
-            // An explicit base keeps its full geometry as long as the
-            // core count still matches; a changed count rebuilds the
-            // mesh-dependent fields at paper defaults.
-            Some(base) if base.cores == self.cores => base.clone(),
-            Some(base) => {
-                let mut fresh = SystemConfig::paper_default(self.cores);
-                fresh.rob_entries = base.rob_entries;
-                fresh.perfpref_lead = base.perfpref_lead;
-                fresh
+        let cfg = if self.cores == self.cfg.cores {
+            self.cfg.clone()
+        } else {
+            // A changed core count takes the paper-default memory system
+            // for the new count, keeping the DRAM model (see
+            // `Sim::from_config`).
+            let fresh = SystemConfig::paper_default(self.cores).mem;
+            SystemConfig {
+                cores: self.cores,
+                mem: MemConfig {
+                    dram: self.cfg.mem.dram,
+                    ..fresh
+                },
+                ..self.cfg.clone()
             }
-            None => SystemConfig::paper_default(self.cores),
         };
-        cfg.prefetcher = self.prefetcher.clone();
-        cfg.manager = self.manager.clone();
-        cfg.partial = self.partial;
-        cfg.mem_mode = self.mem_mode;
-        cfg.core_model = self.core_model;
-        cfg.mem.dram = self.dram;
-        cfg.imp = self.imp.clone();
-        cfg.tlb = self.tlb;
         // Surface invalid TLB geometry (zero sets, bad page sizes) at
         // config-resolve time instead of deep inside the system build.
         imp_sim::validate_tlb_config(&cfg.tlb).map_err(SimError::Tlb)?;
@@ -721,6 +690,24 @@ impl Sim {
     /// [`Sim::run_observed_on`].
     pub fn run_observed(&self) -> Result<(SystemStats, ObsReport), SimError> {
         self.run_observed_on(&self.build_artifact()?)
+    }
+}
+
+/// A cell's grid coordinates, read from the builder without resolving
+/// it: the requested core count, and the configured prefetcher, manager,
+/// partial mode and TLB, even when the configuration does not resolve.
+impl From<&Sim> for CellKey {
+    fn from(sim: &Sim) -> Self {
+        CellKey {
+            workload: sim.workload.clone(),
+            cores: sim.cores,
+            prefetcher: sim.cfg.prefetcher.clone(),
+            manager: sim.cfg.manager.clone(),
+            partial: sim.cfg.partial,
+            tlb: sim.cfg.tlb,
+            page_policy: sim.page_policies.clone(),
+            seed: sim.seed,
+        }
     }
 }
 
@@ -1030,15 +1017,16 @@ mod tests {
         assert_eq!(got.partial, PartialMode::NocOnly);
         assert_eq!(got.mem.hop_latency, 5, "non-fluent fields preserved");
 
-        // Changing cores rebuilds geometry at paper defaults but keeps
-        // non-geometry fields.
+        // Changing cores takes the paper-default memory system for the
+        // new count and carries every other field.
         let scaled = Sim::from_config("spmv", cfg).cores(64).config().unwrap();
         assert_eq!(scaled.cores, 64);
         assert_eq!(
             scaled.mem.mem_controllers, 8,
             "geometry rebuilt for 64 cores"
         );
-        assert_eq!(scaled.rob_entries, 64, "non-geometry field preserved");
+        assert_eq!(scaled.rob_entries, 64, "ROB size carried over");
         assert_eq!(scaled.prefetcher.name, "ghb");
+        assert_eq!(scaled.mem.hop_latency, 2, "hop latency not carried");
     }
 }

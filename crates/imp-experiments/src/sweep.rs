@@ -1,13 +1,15 @@
 //! Parameter sweeps: fan a grid of simulation cells across threads and
 //! collect structured results.
 //!
-//! A [`Sweep`] starts from a template [`Sim`] and varies any axis —
-//! workloads, core counts, prefetcher specs, partial-accessing modes,
-//! and the translation sub-grid (page sizes, dTLB ways, translation
-//! policies, L2-TLB geometries, translation prefetching, walk models,
-//! per-region page placements).
-//! Cells are enumerated in a deterministic cross-product order and
-//! executed by a scoped worker pool; each cell derives its
+//! A [`Sweep`] starts from a template [`Sim`] and varies any of its
+//! axes. The grid is the cross product of the swept axes, nested in one
+//! fixed order, outermost first: workloads, cores, prefetchers, depths,
+//! managers, partial modes, page sizes, dTLB ways, translation
+//! policies, L2 TLBs, TLB prefetching, walk models and page policies.
+//! Each axis value is an edit made through the matching [`Sim`] setter,
+//! so a cell *is* a `Sim`: the template with one edit per swept axis
+//! applied, and an axis not swept keeps the template's value.
+//! Cells are executed by a scoped worker pool; each cell derives its
 //! workload-generation seed from the template seed and the cell's
 //! (workload, cores) coordinates — never from scheduling — so results are
 //! identical whatever the thread count, and cells that differ only in
@@ -18,10 +20,10 @@
 //! distinct (workload, cores, seed) coordinates — scale and
 //! software-prefetch settings come from the template and are constant
 //! across the grid — each group's [`imp_workloads::BuiltArtifact`] is
-//! built exactly once, and the prefetcher × partial cells fan out over
-//! the shared artifact ([`Sim::run_on`]). Because artifacts are
-//! immutable to the simulator, the statistics are bit-identical to
-//! rebuilding per cell; only the wall-clock changes.
+//! built exactly once, from one of the group's own cells, and the
+//! group's cells fan out over the shared artifact ([`Sim::run_on`]).
+//! Because artifacts are immutable to the simulator, the statistics are
+//! bit-identical to rebuilding per cell; only the wall-clock changes.
 //!
 //! ```
 //! use imp_experiments::{Sim, Sweep};
@@ -38,40 +40,20 @@
 
 use crate::sim::{Sim, SimError};
 use imp_common::config::{
-    PagePolicy, ParamValue, PartialMode, PrefetcherSpec, TlbConfig, TranslationPolicy, WalkModel,
+    PagePolicy, ParamValue, PartialMode, PrefetcherSpec, TranslationPolicy, WalkModel,
 };
 use imp_common::{fnv1a, SplitMix64, SystemStats};
 use imp_obs::{ObsConfig, ObsSummary};
-use imp_store::{cell_digest, CellKey, ResultStore, StoredResult};
+use imp_store::{cell_digest, ResultStore, StoredResult};
 use imp_workloads::BuiltArtifact;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One point of the sweep grid.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepCell {
-    /// Workload name.
-    pub workload: String,
-    /// Core count.
-    pub cores: u32,
-    /// Prefetcher spec.
-    pub prefetcher: PrefetcherSpec,
-    /// Adaptive-management policy spec (`None` = unmanaged).
-    pub manager: Option<PrefetcherSpec>,
-    /// Partial cacheline accessing mode.
-    pub partial: PartialMode,
-    /// dTLB / page-walk configuration (ideal unless a TLB axis is
-    /// swept or the template enables one).
-    pub tlb: TlbConfig,
-    /// Page-policy overrides this cell applies to the workload's
-    /// regions (empty = every region keeps its declared policy).
-    /// Placement is translation-only, so cells differing only here
-    /// share one generated input.
-    pub page_policy: Vec<(String, PagePolicy)>,
-    /// Workload-generation seed this cell ran with.
-    pub seed: u64,
-}
+/// One point of the sweep grid: the coordinates the result store files
+/// the cell's record under.
+pub use imp_store::CellKey as SweepCell;
 
 /// A finished cell: where it ran and what came back.
 #[derive(Clone, Debug)]
@@ -142,7 +124,7 @@ pub struct SweepReport {
     pub results: Vec<Result<SweepResult, SweepCellError>>,
     /// Cells served from the store without simulating.
     pub cached: usize,
-    /// Cells simulated (and persisted) this run.
+    /// Cells simulated (and persisted, when there is a store) this run.
     pub simulated: usize,
     /// Cells that failed.
     pub failed: usize,
@@ -152,23 +134,85 @@ pub struct SweepReport {
     pub store_error: Option<String>,
 }
 
+/// A sweepable axis. The declaration order is the nesting order of
+/// [`Sweep::cells`], outermost first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Axis {
+    Workloads,
+    Cores,
+    Prefetchers,
+    Depths,
+    Managers,
+    Partials,
+    PageSizes,
+    TlbWays,
+    TranslationPolicies,
+    L2Tlbs,
+    TlbPrefetches,
+    WalkModels,
+    PagePolicies,
+}
+
+/// One axis value: an edit of a cell's [`Sim`].
+#[derive(Clone, Debug)]
+enum Edit {
+    Workload(String),
+    Cores(u32),
+    Prefetcher(PrefetcherSpec),
+    Depth(u32),
+    /// `None` runs the cell unmanaged, whatever the template's manager.
+    Manager(Option<PrefetcherSpec>),
+    Partial(PartialMode),
+    PageSize(u64),
+    TlbWays(u32),
+    TranslationPolicy(TranslationPolicy),
+    L2Tlb(u32, u32),
+    TlbPrefetch(bool),
+    WalkModel(WalkModel),
+    PagePolicies(Vec<(String, PagePolicy)>),
+}
+
+impl Edit {
+    /// Applies this value to `sim` through the setter for its axis.
+    fn apply(&self, mut sim: Sim) -> Sim {
+        match self {
+            Edit::Workload(name) => sim.with_workload(name),
+            Edit::Cores(n) => sim.cores(*n),
+            Edit::Prefetcher(spec) => sim.prefetcher(spec.clone()),
+            // Overrides `depth` on the prefetcher the cell runs.
+            Edit::Depth(d) => {
+                let depth = ParamValue::Int(i64::from(*d));
+                sim.cfg.prefetcher.params.insert("depth".to_string(), depth);
+                sim
+            }
+            Edit::Manager(spec) => {
+                sim.cfg.manager = spec.clone();
+                sim
+            }
+            Edit::Partial(mode) => sim.partial(*mode),
+            Edit::PageSize(bytes) => sim.page_size(*bytes),
+            Edit::TlbWays(ways) => sim.tlb_ways(*ways),
+            Edit::TranslationPolicy(policy) => sim.translation_policy(*policy),
+            Edit::L2Tlb(sets, ways) => sim.l2_tlb(*sets, *ways),
+            Edit::TlbPrefetch(on) => sim.tlb_prefetch(*on),
+            Edit::WalkModel(model) => sim.walk_model(*model),
+            // Like every TLB axis, this one upgrades an ideal TLB, even
+            // for the empty set, which `Sim::page_policies` leaves alone.
+            Edit::PagePolicies(set) => {
+                sim.cfg.tlb = sim.cfg.tlb.finite_or_self();
+                sim.page_policies(set.clone())
+            }
+        }
+    }
+}
+
 /// A config-grid runner over a template [`Sim`]. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Sweep {
     base: Sim,
-    workloads: Vec<String>,
-    cores: Vec<u32>,
-    prefetchers: Vec<PrefetcherSpec>,
-    depths: Vec<u32>,
-    managers: Vec<Option<PrefetcherSpec>>,
-    partials: Vec<PartialMode>,
-    page_sizes: Vec<u64>,
-    tlb_ways: Vec<u32>,
-    policies: Vec<TranslationPolicy>,
-    l2_tlbs: Vec<(u32, u32)>,
-    tlb_prefetches: Vec<bool>,
-    walk_models: Vec<WalkModel>,
-    page_policies: Vec<Vec<(String, PagePolicy)>>,
+    /// The swept axes, each with one edit per value, iterated in
+    /// nesting order.
+    axes: BTreeMap<Axis, Vec<Edit>>,
     threads: Option<usize>,
     store_path: Option<PathBuf>,
     spec_error: Option<String>,
@@ -178,24 +222,12 @@ pub struct Sweep {
 impl From<Sim> for Sweep {
     fn from(base: Sim) -> Self {
         Sweep {
-            workloads: vec![base.workload_name().to_string()],
-            cores: Vec::new(),
-            prefetchers: Vec::new(),
-            depths: Vec::new(),
-            managers: Vec::new(),
-            partials: Vec::new(),
-            page_sizes: Vec::new(),
-            tlb_ways: Vec::new(),
-            policies: Vec::new(),
-            l2_tlbs: Vec::new(),
-            tlb_prefetches: Vec::new(),
-            walk_models: Vec::new(),
-            page_policies: Vec::new(),
+            base,
+            axes: BTreeMap::new(),
             threads: None,
             store_path: None,
             spec_error: None,
             observe: None,
-            base,
         }
     }
 }
@@ -206,22 +238,53 @@ impl Sweep {
         Sweep::from(base)
     }
 
+    /// Sweeps `axis` over `values`, replacing any earlier values. An
+    /// axis given no values is not swept, so its cells keep the
+    /// template's value; an empty workload list instead empties the
+    /// grid.
+    fn axis(mut self, axis: Axis, values: impl IntoIterator<Item = Edit>) -> Self {
+        let values: Vec<Edit> = values.into_iter().collect();
+        if values.is_empty() && axis != Axis::Workloads {
+            self.axes.remove(&axis);
+        } else {
+            self.axes.insert(axis, values);
+        }
+        self
+    }
+
+    /// Parses an axis of prefetcher or manager specs. A malformed spec
+    /// is left out and kept for [`Sweep::run`] to report.
+    fn specs<I, S>(&mut self, specs: I) -> Vec<PrefetcherSpec>
+    where
+        I: IntoIterator<Item = S>,
+        S: TryInto<PrefetcherSpec>,
+        S::Error: std::fmt::Display,
+    {
+        let mut parsed = Vec::new();
+        for spec in specs {
+            match spec.try_into() {
+                Ok(s) => parsed.push(s),
+                Err(e) => self.spec_error = Some(e.to_string()),
+            }
+        }
+        parsed
+    }
+
     /// Varies the workload axis.
     #[must_use]
-    pub fn workloads<I, S>(mut self, names: I) -> Self
+    pub fn workloads<I, S>(self, names: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        self.workloads = names.into_iter().map(Into::into).collect();
-        self
+        let edits = names.into_iter().map(|name| Edit::Workload(name.into()));
+        self.axis(Axis::Workloads, edits)
     }
 
     /// Varies the core-count axis.
     #[must_use]
-    pub fn cores<I: IntoIterator<Item = u32>>(mut self, counts: I) -> Self {
-        self.cores = counts.into_iter().collect();
-        self
+    pub fn cores<I: IntoIterator<Item = u32>>(self, counts: I) -> Self {
+        self.axis(Axis::Cores, counts.into_iter().map(Edit::Cores))
     }
 
     /// Varies the prefetcher axis (specs, kinds, or spec strings). A
@@ -234,14 +297,8 @@ impl Sweep {
         S: TryInto<PrefetcherSpec>,
         S::Error: std::fmt::Display,
     {
-        self.prefetchers = Vec::new();
-        for spec in specs {
-            match spec.try_into() {
-                Ok(s) => self.prefetchers.push(s),
-                Err(e) => self.spec_error = Some(e.to_string()),
-            }
-        }
-        self
+        let specs = self.specs(specs);
+        self.axis(Axis::Prefetchers, specs.into_iter().map(Edit::Prefetcher))
     }
 
     /// Varies the chained-indirection depth: every prefetcher cell is
@@ -254,9 +311,8 @@ impl Sweep {
     /// invalid parameter does; with no depth axis, specs pass through
     /// untouched (a spec's own `depth=` still applies).
     #[must_use]
-    pub fn depths<I: IntoIterator<Item = u32>>(mut self, depths: I) -> Self {
-        self.depths = depths.into_iter().collect();
-        self
+    pub fn depths<I: IntoIterator<Item = u32>>(self, depths: I) -> Self {
+        self.axis(Axis::Depths, depths.into_iter().map(Edit::Depth))
     }
 
     /// Varies the adaptive-management axis (see `imp_adapt::Manager`).
@@ -278,75 +334,70 @@ impl Sweep {
         S: TryInto<PrefetcherSpec>,
         S::Error: std::fmt::Display,
     {
-        self.managers = Vec::new();
-        for spec in specs {
-            match spec.try_into() {
-                Ok(s) if s.name == "none" => self.managers.push(None),
-                Ok(s) => self.managers.push(Some(s)),
-                Err(e) => self.spec_error = Some(e.to_string()),
-            }
-        }
-        self
+        let specs = self.specs(specs);
+        let edits = specs
+            .into_iter()
+            .map(|s| Edit::Manager((s.name != "none").then_some(s)));
+        self.axis(Axis::Managers, edits)
     }
 
     /// Varies the partial-accessing axis.
     #[must_use]
-    pub fn partials<I: IntoIterator<Item = PartialMode>>(mut self, modes: I) -> Self {
-        self.partials = modes.into_iter().collect();
-        self
+    pub fn partials<I: IntoIterator<Item = PartialMode>>(self, modes: I) -> Self {
+        self.axis(Axis::Partials, modes.into_iter().map(Edit::Partial))
     }
 
     /// Varies the translation page size (bytes per page). Setting any
     /// TLB axis upgrades an ideal template TLB to the
-    /// [`TlbConfig::finite`] defaults, then applies the swept knob.
+    /// [`imp_common::TlbConfig::finite`] defaults, then applies the
+    /// swept knob.
     #[must_use]
-    pub fn page_sizes<I: IntoIterator<Item = u64>>(mut self, sizes: I) -> Self {
-        self.page_sizes = sizes.into_iter().collect();
-        self
+    pub fn page_sizes<I: IntoIterator<Item = u64>>(self, sizes: I) -> Self {
+        self.axis(Axis::PageSizes, sizes.into_iter().map(Edit::PageSize))
     }
 
     /// Varies the dTLB associativity (ways per set); see
     /// [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
-    pub fn tlb_ways<I: IntoIterator<Item = u32>>(mut self, ways: I) -> Self {
-        self.tlb_ways = ways.into_iter().collect();
-        self
+    pub fn tlb_ways<I: IntoIterator<Item = u32>>(self, ways: I) -> Self {
+        self.axis(Axis::TlbWays, ways.into_iter().map(Edit::TlbWays))
     }
 
     /// Varies the prefetch-translation policy; see
     /// [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
     pub fn translation_policies<I: IntoIterator<Item = TranslationPolicy>>(
-        mut self,
+        self,
         policies: I,
     ) -> Self {
-        self.policies = policies.into_iter().collect();
-        self
+        let edits = policies.into_iter().map(Edit::TranslationPolicy);
+        self.axis(Axis::TranslationPolicies, edits)
     }
 
     /// Varies the shared L2-TLB geometry as `(sets, ways)` pairs
     /// (`(0, 0)` is the no-L2 point); see [`Sweep::page_sizes`] for how
     /// an ideal template upgrades.
     #[must_use]
-    pub fn l2_tlbs<I: IntoIterator<Item = (u32, u32)>>(mut self, geometries: I) -> Self {
-        self.l2_tlbs = geometries.into_iter().collect();
-        self
+    pub fn l2_tlbs<I: IntoIterator<Item = (u32, u32)>>(self, geometries: I) -> Self {
+        let edits = geometries
+            .into_iter()
+            .map(|(sets, ways)| Edit::L2Tlb(sets, ways));
+        self.axis(Axis::L2Tlbs, edits)
     }
 
     /// Varies the translation-prefetching knob; see
     /// [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
-    pub fn tlb_prefetches<I: IntoIterator<Item = bool>>(mut self, settings: I) -> Self {
-        self.tlb_prefetches = settings.into_iter().collect();
-        self
+    pub fn tlb_prefetches<I: IntoIterator<Item = bool>>(self, settings: I) -> Self {
+        let edits = settings.into_iter().map(Edit::TlbPrefetch);
+        self.axis(Axis::TlbPrefetches, edits)
     }
 
     /// Varies the walk-timing model; see [`Sweep::page_sizes`] for how
     /// an ideal template upgrades.
     #[must_use]
-    pub fn walk_models<I: IntoIterator<Item = WalkModel>>(mut self, models: I) -> Self {
-        self.walk_models = models.into_iter().collect();
-        self
+    pub fn walk_models<I: IntoIterator<Item = WalkModel>>(self, models: I) -> Self {
+        self.axis(Axis::WalkModels, models.into_iter().map(Edit::WalkModel))
     }
 
     /// Varies the per-region page placement: each axis value is one
@@ -356,25 +407,22 @@ impl Sweep {
     /// shares one built artifact per (workload, cores, seed) input;
     /// see [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
-    pub fn page_policies<I, O, S>(mut self, sets: I) -> Self
+    pub fn page_policies<I, O, S>(self, sets: I) -> Self
     where
         I: IntoIterator<Item = O>,
         O: IntoIterator<Item = (S, PagePolicy)>,
         S: Into<String>,
     {
-        self.page_policies = sets
-            .into_iter()
-            .map(|set| {
-                set.into_iter()
-                    .map(|(name, policy)| (name.into(), policy))
-                    .collect()
-            })
-            .collect();
-        self
+        let edits = sets.into_iter().map(|set| {
+            let set = set.into_iter().map(|(name, policy)| (name.into(), policy));
+            Edit::PagePolicies(set.collect())
+        });
+        self.axis(Axis::PagePolicies, edits)
     }
 
     /// Caps the worker-thread count (default: available parallelism).
-    /// `threads(1)` runs the grid inline on the calling thread.
+    /// `threads(1)` simulates on one worker while the calling thread
+    /// delivers results in cell order.
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
@@ -405,172 +453,32 @@ impl Sweep {
         self
     }
 
-    /// Enumerates the grid in its deterministic execution order
-    /// (workload-major, then cores, prefetchers, managers, partial
-    /// modes).
+    /// Enumerates the grid in its deterministic execution order: the
+    /// cross product of the swept axes, nested workloads, cores,
+    /// prefetchers, depths, managers, partial modes, page sizes, dTLB
+    /// ways, translation policies, L2 TLBs, TLB prefetching, walk
+    /// models and page policies, the last varying fastest. An axis not
+    /// swept keeps the template's value.
     pub fn cells(&self) -> Vec<SweepCell> {
-        let one_cfg;
-        let (cores, prefetchers, managers, partials) = {
-            one_cfg = (
-                vec![self.base_cores()],
-                vec![self.base_prefetcher()],
-                vec![self.base_manager()],
-                vec![self.base_partial()],
-            );
-            (
-                if self.cores.is_empty() {
-                    &one_cfg.0
-                } else {
-                    &self.cores
-                },
-                if self.prefetchers.is_empty() {
-                    &one_cfg.1
-                } else {
-                    &self.prefetchers
-                },
-                if self.managers.is_empty() {
-                    &one_cfg.2
-                } else {
-                    &self.managers
-                },
-                if self.partials.is_empty() {
-                    &one_cfg.3
-                } else {
-                    &self.partials
-                },
-            )
-        };
-        // The depth axis multiplies the prefetcher axis: one spec per
-        // (prefetcher, depth) with the `depth` parameter overridden.
-        let prefetchers: Vec<PrefetcherSpec> = if self.depths.is_empty() {
-            prefetchers.clone()
-        } else {
-            prefetchers
-                .iter()
-                .flat_map(|p| {
-                    self.depths.iter().map(|&d| {
-                        let mut p = p.clone();
-                        p.params
-                            .insert("depth".to_string(), ParamValue::Int(i64::from(d)));
-                        p
-                    })
-                })
-                .collect()
-        };
-        let tlbs = self.tlb_variants();
-        let base_policies = vec![self.base.page_policy_overrides().to_vec()];
-        let policy_sets = if self.page_policies.is_empty() {
-            &base_policies
-        } else {
-            &self.page_policies
-        };
-        let mut cells = Vec::new();
-        for w in &self.workloads {
-            for &n in cores {
-                for p in &prefetchers {
-                    for mgr in managers {
-                        for &m in partials {
-                            for &tlb in &tlbs {
-                                for pp in policy_sets {
-                                    cells.push(SweepCell {
-                                        workload: w.clone(),
-                                        cores: n,
-                                        prefetcher: p.clone(),
-                                        manager: mgr.clone(),
-                                        partial: m,
-                                        tlb,
-                                        page_policy: pp.clone(),
-                                        seed: cell_seed(self.base_seed(), w, n),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cells
+        self.sims().iter().map(SweepCell::from).collect()
     }
 
-    /// The translation sub-grid: the cross product of every swept TLB
-    /// axis (page sizes, dTLB ways, translation policies, L2-TLB
-    /// geometries, translation prefetching, walk models), in that
-    /// nesting order with the walk model varying fastest. Any swept
-    /// TLB knob upgrades an ideal template to the finite defaults;
-    /// with no TLB axis swept this is exactly the template's TLB.
-    fn tlb_variants(&self) -> Vec<TlbConfig> {
-        let tlb_swept = !(self.page_sizes.is_empty()
-            && self.tlb_ways.is_empty()
-            && self.policies.is_empty()
-            && self.l2_tlbs.is_empty()
-            && self.tlb_prefetches.is_empty()
-            && self.walk_models.is_empty()
-            && self.page_policies.is_empty());
-        let base = if tlb_swept {
-            self.base_tlb().finite_or_self()
-        } else {
-            self.base_tlb()
-        };
-        let one = (
-            vec![base.page_bytes],
-            vec![base.ways],
-            vec![base.policy],
-            vec![(base.l2_sets, base.l2_ways)],
-            vec![base.tlb_prefetch],
-            vec![base.walk_model],
-        );
-        let page_sizes = if self.page_sizes.is_empty() {
-            &one.0
-        } else {
-            &self.page_sizes
-        };
-        let tlb_ways = if self.tlb_ways.is_empty() {
-            &one.1
-        } else {
-            &self.tlb_ways
-        };
-        let policies = if self.policies.is_empty() {
-            &one.2
-        } else {
-            &self.policies
-        };
-        let l2s = if self.l2_tlbs.is_empty() {
-            &one.3
-        } else {
-            &self.l2_tlbs
-        };
-        let tps = if self.tlb_prefetches.is_empty() {
-            &one.4
-        } else {
-            &self.tlb_prefetches
-        };
-        let wms = if self.walk_models.is_empty() {
-            &one.5
-        } else {
-            &self.walk_models
-        };
-        let mut out = Vec::new();
-        for &ps in page_sizes {
-            for &ways in tlb_ways {
-                for &policy in policies {
-                    for &(l2s_n, l2w) in l2s {
-                        for &tp in tps {
-                            for &wm in wms {
-                                out.push(
-                                    base.with_page_bytes(ps)
-                                        .with_ways(ways)
-                                        .with_policy(policy)
-                                        .with_l2(l2s_n, l2w)
-                                        .with_tlb_prefetch(tp)
-                                        .with_walk_model(wm),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
+    /// Every cell as the [`Sim`] it runs: the template with one edit per
+    /// swept axis applied in nesting order, then the cell's seed.
+    fn sims(&self) -> Vec<Sim> {
+        let mut sims = vec![self.base.clone()];
+        for edits in self.axes.values() {
+            sims = sims
+                .iter()
+                .flat_map(|sim| edits.iter().map(|edit| edit.apply(sim.clone())))
+                .collect();
         }
-        out
+        sims.into_iter()
+            .map(|sim| {
+                let seed = cell_seed(sim.seed_value(), sim.workload_name(), sim.cores);
+                sim.seed(seed)
+            })
+            .collect()
     }
 
     /// Runs every cell and returns results in [`Sweep::cells`] order.
@@ -589,67 +497,29 @@ impl Sweep {
     /// a failed `trace:` replay, an invalid core count) no longer throws
     /// away the completed rest of the grid.
     ///
-    /// Each distinct (workload, cores, seed) input is built exactly once
-    /// and shared read-only across the cells that use it; a failed build
-    /// is reported by every cell of its group.
+    /// This is [`Sweep::run_with`] against the [`Sweep::store`], if one
+    /// was set; without one, it runs the same path with no store to
+    /// read or fill. Each distinct (workload, cores, seed) input is
+    /// built exactly once and shared read-only across the cells that
+    /// use it; a failed build is reported by every cell of its group.
     ///
     /// # Errors
     ///
     /// The outer `Err` is reserved for a malformed grid — an axis spec
     /// string that did not parse — where no cells can be enumerated at
-    /// all. Everything that goes wrong *inside* a cell comes back in
-    /// that cell's slot.
+    /// all, and for a store that cannot be opened or read. Everything
+    /// that goes wrong *inside* a cell comes back in that cell's slot.
     // A cell's error carries its (string-heavy) grid coordinates by
     // design; boxing would just push the size into every caller match.
     #[allow(clippy::type_complexity, clippy::result_large_err)]
     pub fn run_partial(&self) -> Result<Vec<Result<SweepResult, SweepCellError>>, SimError> {
-        if let Some(path) = &self.store_path {
-            let store = ResultStore::open(path).map_err(|e| SimError::Store(e.to_string()))?;
-            return Ok(self.run_with(&store, |_| {})?.results);
-        }
-        if let Some(e) = &self.spec_error {
-            return Err(SimError::InvalidSpec(e.clone()));
-        }
-        let cells = self.cells();
-        let threads = self.thread_count(cells.len());
-
-        // Group cells by distinct generated input. Scale and
-        // software-prefetch settings come from the template, so within
-        // one sweep the input is determined by (workload, cores, seed).
-        let (groups, group_of) = input_groups(cells.iter());
-
-        // Build each distinct artifact exactly once, in parallel.
-        let artifacts = fanout(groups.len(), threads.min(groups.len()), |g| {
-            let (workload, cores, seed) = &groups[g];
-            self.base
-                .clone()
-                .with_workload(workload)
-                .cores(*cores)
-                .seed(*seed)
-                .build_artifact()
-        });
-
-        // Fan the configuration cells out over the shared artifacts.
-        let outcomes = fanout(cells.len(), threads, |i| {
-            let cell = &cells[i];
-            let artifact = artifacts[group_of[i]].as_ref().map_err(Clone::clone)?;
-            self.run_cell(cell, artifact)
-        });
-        Ok(cells
-            .into_iter()
-            .zip(outcomes)
-            .map(|(cell, outcome)| match outcome {
-                Ok((stats, obs)) => Ok(SweepResult { cell, stats, obs }),
-                Err(error) => {
-                    let canonical = self.cell_canonical(&cell);
-                    Err(SweepCellError {
-                        cell,
-                        canonical,
-                        error,
-                    })
-                }
-            })
-            .collect())
+        let store = self
+            .store_path
+            .as_ref()
+            .map(ResultStore::open)
+            .transpose()
+            .map_err(|e| SimError::Store(e.to_string()))?;
+        Ok(self.run_in(store.as_ref(), |_| {})?.results)
     }
 
     /// Runs the grid against `store`, streaming each cell's outcome to
@@ -669,14 +539,30 @@ impl Sweep {
     /// cannot be *read* (I/O, not corruption) fails the whole run;
     /// per-cell simulation failures come back in their result slots.
     #[allow(clippy::result_large_err)]
-    pub fn run_with<F>(&self, store: &ResultStore, mut on_cell: F) -> Result<SweepReport, SimError>
+    pub fn run_with<F>(&self, store: &ResultStore, on_cell: F) -> Result<SweepReport, SimError>
+    where
+        F: FnMut(&CellOutcome),
+    {
+        self.run_in(Some(store), on_cell)
+    }
+
+    /// The one run path: probe each cell in `store` (when there is
+    /// one), build the inputs of the cells it misses, simulate those
+    /// cells, and deliver every outcome in cell order.
+    #[allow(clippy::result_large_err)]
+    fn run_in<F>(
+        &self,
+        store: Option<&ResultStore>,
+        mut on_cell: F,
+    ) -> Result<SweepReport, SimError>
     where
         F: FnMut(&CellOutcome),
     {
         if let Some(e) = &self.spec_error {
             return Err(SimError::InvalidSpec(e.clone()));
         }
-        let cells = self.cells();
+        let sims = self.sims();
+        let cells: Vec<SweepCell> = sims.iter().map(SweepCell::from).collect();
         let n = cells.len();
 
         // Probe phase: resolve each cell's canonical input and look it
@@ -687,12 +573,15 @@ impl Sweep {
         let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
         let mut cached_flags = vec![false; n];
         let mut missing: Vec<usize> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            match self.sim_for(cell).canonical_input() {
+        for (i, sim) in sims.iter().enumerate() {
+            match sim.canonical_input() {
                 Ok(canonical) => {
-                    let hit = store
-                        .get(&canonical)
-                        .map_err(|e| SimError::Store(e.to_string()))?;
+                    let hit = match store {
+                        Some(store) => store
+                            .get(&canonical)
+                            .map_err(|e| SimError::Store(e.to_string()))?,
+                        None => None,
+                    };
                     match hit {
                         Some(record) => {
                             cached_flags[i] = true;
@@ -715,18 +604,11 @@ impl Sweep {
             }
         }
 
-        // Build phase: only the groups that still have missing cells.
+        // Build phase: only the groups that still have missing cells,
+        // each from its first missing cell.
         let threads = self.thread_count(missing.len());
-        let (groups, group_of) = input_groups(missing.iter().map(|&i| &cells[i]));
-        let artifacts = fanout(groups.len(), threads.min(groups.len().max(1)), |g| {
-            let (workload, cores, seed) = &groups[g];
-            self.base
-                .clone()
-                .with_workload(workload)
-                .cores(*cores)
-                .seed(*seed)
-                .build_artifact()
-        });
+        let (firsts, group_of) = input_groups(&cells, &missing);
+        let artifacts = fanout(firsts.len(), threads, |g| sims[firsts[g]].build_artifact());
 
         // Simulate the missing cells across workers while the calling
         // thread delivers outcomes in deterministic cell order; a
@@ -742,6 +624,7 @@ impl Sweep {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, CellRun)>();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
+            let sims = &sims;
             let cells = &cells;
             let canonicals = &canonicals;
             let missing = &missing;
@@ -757,15 +640,14 @@ impl Sweep {
                         break;
                     }
                     let i = missing[k];
-                    let cell = &cells[i];
                     let outcome = artifacts[group_of[k]]
                         .as_ref()
                         .map_err(Clone::clone)
-                        .and_then(|artifact| self.run_cell(cell, artifact));
-                    if let Ok((stats, _)) = &outcome {
+                        .and_then(|artifact| self.run_cell(&sims[i], artifact));
+                    if let (Some(store), Ok((stats, _))) = (store, &outcome) {
                         let record = StoredResult {
                             canonical: canonicals[i].clone(),
-                            cell: cell_key(cell),
+                            cell: cells[i].clone(),
                             stats: stats.clone(),
                         };
                         if let Err(e) = store.put(&record) {
@@ -829,39 +711,16 @@ impl Sweep {
     /// way; only the summary is extra.
     fn run_cell(
         &self,
-        cell: &SweepCell,
+        sim: &Sim,
         artifact: &BuiltArtifact,
     ) -> Result<(SystemStats, Option<ObsSummary>), SimError> {
         match self.observe.filter(ObsConfig::enabled) {
             Some(cfg) => {
-                let (stats, report) = self.sim_for(cell).observe(cfg).run_observed_on(artifact)?;
+                let (stats, report) = sim.clone().observe(cfg).run_observed_on(artifact)?;
                 Ok((stats, Some(report.summary())))
             }
-            None => Ok((self.sim_for(cell).run_on(artifact)?, None)),
+            None => Ok((sim.run_on(artifact)?, None)),
         }
-    }
-
-    /// The per-cell [`Sim`] builder (the template with the cell's axis
-    /// values applied, in the same order `run_partial` always used).
-    fn sim_for(&self, cell: &SweepCell) -> Sim {
-        self.base
-            .clone()
-            .with_workload(&cell.workload)
-            .cores(cell.cores)
-            .prefetcher(cell.prefetcher.clone())
-            .set_manager(cell.manager.clone())
-            .partial(cell.partial)
-            .tlb(cell.tlb)
-            .page_policies(cell.page_policy.clone())
-            .seed(cell.seed)
-    }
-
-    /// The cell's canonical input, or a deterministic placeholder for a
-    /// cell whose configuration does not resolve.
-    fn cell_canonical(&self, cell: &SweepCell) -> String {
-        self.sim_for(cell)
-            .canonical_input()
-            .unwrap_or_else(|e| format!("<unresolved config: {e}>"))
     }
 
     fn thread_count(&self, work: usize) -> usize {
@@ -872,30 +731,6 @@ impl Sweep {
                     .unwrap_or(1)
             })
             .min(work.max(1))
-    }
-
-    fn base_cores(&self) -> u32 {
-        self.base.config().map(|c| c.cores).unwrap_or(16)
-    }
-
-    fn base_prefetcher(&self) -> PrefetcherSpec {
-        self.base.config().map(|c| c.prefetcher).unwrap_or_default()
-    }
-
-    fn base_manager(&self) -> Option<PrefetcherSpec> {
-        self.base.config().ok().and_then(|c| c.manager)
-    }
-
-    fn base_partial(&self) -> PartialMode {
-        self.base.config().map(|c| c.partial).unwrap_or_default()
-    }
-
-    fn base_tlb(&self) -> TlbConfig {
-        self.base.config().map(|c| c.tlb).unwrap_or_default()
-    }
-
-    fn base_seed(&self) -> u64 {
-        self.base.seed_value()
     }
 }
 
@@ -908,38 +743,27 @@ fn cell_seed(base: u64, workload: &str, cores: u32) -> u64 {
     SplitMix64::new(base ^ h ^ u64::from(cores)).next_u64()
 }
 
-/// Groups cells by distinct generated input (workload, cores, seed).
-/// Returns the distinct groups and, per input cell, the group index.
-fn input_groups<'a, I>(cells: I) -> (Vec<(String, u32, u64)>, Vec<usize>)
-where
-    I: Iterator<Item = &'a SweepCell>,
-{
-    let mut groups: Vec<(String, u32, u64)> = Vec::new();
-    let group_of = cells
-        .map(|cell| {
-            let key = (cell.workload.clone(), cell.cores, cell.seed);
-            groups.iter().position(|g| *g == key).unwrap_or_else(|| {
-                groups.push(key);
-                groups.len() - 1
-            })
+/// Groups the `members` of `cells` by the input they run on (workload,
+/// cores, seed; scale and software prefetching come from the template).
+/// Returns each group's first member and, per member, its group.
+fn input_groups(cells: &[SweepCell], members: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let same_input = |a: &SweepCell, b: &SweepCell| {
+        a.workload == b.workload && a.cores == b.cores && a.seed == b.seed
+    };
+    let mut firsts: Vec<usize> = Vec::new();
+    let group_of = members
+        .iter()
+        .map(|&i| {
+            firsts
+                .iter()
+                .position(|&f| same_input(&cells[f], &cells[i]))
+                .unwrap_or_else(|| {
+                    firsts.push(i);
+                    firsts.len() - 1
+                })
         })
         .collect();
-    (groups, group_of)
-}
-
-/// The store's mirror of a [`SweepCell`] (same fields, `imp-common`
-/// types only, so `imp-store` stays below the experiment layer).
-fn cell_key(cell: &SweepCell) -> CellKey {
-    CellKey {
-        workload: cell.workload.clone(),
-        cores: cell.cores,
-        prefetcher: cell.prefetcher.clone(),
-        manager: cell.manager.clone(),
-        partial: cell.partial,
-        tlb: cell.tlb,
-        page_policy: cell.page_policy.clone(),
-        seed: cell.seed,
-    }
+    (firsts, group_of)
 }
 
 /// Runs `f(0..n)` on up to `threads` scoped workers; results come back
@@ -985,6 +809,11 @@ mod tests {
     use super::*;
     use imp_workloads::Scale;
 
+    /// The canonical input of `sweep`'s cell `i`.
+    fn canonical(sweep: &Sweep, i: usize) -> String {
+        sweep.sims()[i].canonical_input().unwrap()
+    }
+
     #[test]
     fn cells_enumerate_the_cross_product_in_order() {
         let sweep = Sweep::from(Sim::workload("spmv").scale(Scale::Tiny))
@@ -1028,10 +857,7 @@ mod tests {
         // The depth knob never changes the generated input.
         assert!(cells.iter().all(|c| c.seed == cells[0].seed));
         // Distinct depths are distinct cells to the result store.
-        assert_ne!(
-            sweep.cell_canonical(&cells[0]),
-            sweep.cell_canonical(&cells[1])
-        );
+        assert_ne!(canonical(&sweep, 0), canonical(&sweep, 1));
         // Without the axis, specs pass through untouched.
         let plain = Sweep::from(Sim::workload("hashjoin").scale(Scale::Tiny))
             .prefetchers(["imp"])
@@ -1056,21 +882,10 @@ mod tests {
         assert_eq!(cells[0].seed, cells[2].seed);
         // An unmanaged cell's canonical is byte-identical to a
         // managerless sweep's; a managed cell's differs.
-        let plain = Sweep::from(Sim::workload("spmv").scale(Scale::Tiny))
-            .prefetchers(["stream"])
-            .cells();
-        assert_eq!(
-            sweep.cell_canonical(&cells[0]),
-            sweep.cell_canonical(&plain[0])
-        );
-        assert_ne!(
-            sweep.cell_canonical(&cells[1]),
-            sweep.cell_canonical(&cells[0])
-        );
-        assert_ne!(
-            sweep.cell_canonical(&cells[1]),
-            sweep.cell_canonical(&cells[2])
-        );
+        let plain = Sweep::from(Sim::workload("spmv").scale(Scale::Tiny)).prefetchers(["stream"]);
+        assert_eq!(canonical(&sweep, 0), canonical(&plain, 0));
+        assert_ne!(canonical(&sweep, 1), canonical(&sweep, 0));
+        assert_ne!(canonical(&sweep, 1), canonical(&sweep, 2));
     }
 
     #[test]
@@ -1276,6 +1091,42 @@ mod tests {
             .canonical
             .contains("no-such-prefetcher"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unresolvable_templates_fail_their_cells_instead_of_defaulting() {
+        // A core count the mesh cannot take fails the cell at that
+        // count, on every run path, and stores nothing.
+        let sweep = Sweep::from(Sim::workload("spmv").scale(Scale::Tiny).cores(48));
+        assert_eq!(sweep.run().unwrap_err(), SimError::InvalidCores(48));
+        let outcomes = sweep.run_partial().unwrap();
+        assert_eq!(outcomes.len(), 1);
+        let err = outcomes[0].as_ref().unwrap_err();
+        assert_eq!(err.error, SimError::InvalidCores(48));
+        assert_eq!(err.cell.cores, 48);
+        let dir = std::env::temp_dir().join(format!("imp-sweep-48-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        let report = sweep.run_with(&store, |_| {}).unwrap();
+        assert_eq!((report.cached, report.simulated, report.failed), (0, 0, 1));
+        assert_eq!(store.len().unwrap(), 0, "nothing stored");
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A template that fails to resolve keeps its own knobs in the
+        // cell it reports.
+        let sweep = Sweep::from(
+            Sim::workload("spmv")
+                .scale(Scale::Tiny)
+                .manager("static")
+                .page_size(3000),
+        );
+        let outcomes = sweep.run_partial().unwrap();
+        let err = outcomes[0].as_ref().unwrap_err();
+        assert!(matches!(err.error, SimError::Tlb(_)), "{err}");
+        for cell in [&err.cell, &sweep.cells()[0]] {
+            assert_eq!(cell.manager.as_ref().unwrap().name, "static");
+            assert_eq!(cell.tlb.page_bytes, 3000);
+        }
     }
 
     #[test]

@@ -83,11 +83,12 @@ impl From<WireError> for StoreError {
 
 /// The sweep-cell coordinates a stored result was simulated under.
 ///
-/// Mirrors `imp_experiments::SweepCell` field for field, but lives here
-/// (built only from `imp-common` types) so the store does not depend on
-/// the experiment layer. The *identity* of a record is its canonical
-/// string; the key is carried so manifests and debugging tools can
-/// reconstruct the grid coordinates without re-parsing canonicals.
+/// This *is* `imp_experiments::SweepCell`, which re-exports it under
+/// that name. It lives here (built only from `imp-common` types) so the
+/// store does not depend on the experiment layer. The *identity* of a
+/// record is its canonical string; the key is carried so manifests and
+/// debugging tools can reconstruct the grid coordinates without
+/// re-parsing canonicals.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellKey {
     /// Workload name (`Sim::workload` argument).

@@ -20,10 +20,13 @@
 //! assert!(imp.runtime <= base.runtime);
 //! ```
 //!
-//! [`Sweep`] fans a config grid (workloads × cores × prefetchers ×
-//! partial modes) across threads, with per-cell seeds derived
-//! deterministically from the cell order — results are identical
-//! whatever the thread count:
+//! [`Sweep`] fans a config grid across threads: the cross product of
+//! its swept axes (workloads, cores, prefetchers, depths, managers,
+//! partial modes, page sizes, dTLB ways, translation policies, L2 TLBs,
+//! TLB prefetching, walk models, page policies — nested in that order),
+//! where each cell is the template `Sim` with one edit per axis. Per-cell
+//! seeds derive deterministically from each cell's input coordinates —
+//! results are identical whatever the thread count:
 //!
 //! ```
 //! use imp::sim::{Sim, Sweep};
@@ -41,8 +44,8 @@
 //! ```
 //!
 //! `Sweep::run` builds each distinct (workload, cores, seed) input
-//! exactly once and fans its prefetcher × partial cells out over the
-//! shared, immutable artifact — bit-identical to rebuilding per cell,
+//! exactly once and fans the cells that use it out over the shared,
+//! immutable artifact — bit-identical to rebuilding per cell,
 //! just faster. `Sweep::run_partial` returns per-cell `Result`s so one
 //! bad cell doesn't discard a finished grid. For explicit sharing and
 //! `.imptrace` record/replay, see [`Sim::build_artifact`],
