@@ -54,5 +54,37 @@ pub fn cells() -> Vec<(String, Sim)> {
             .prefetcher("imp")
             .partial(PartialMode::NocAndDram),
     ));
+    // Mixed placement under cached walks: the indirect-target array on
+    // huge pages, the rest on base pages. A Tiny footprint fits inside
+    // one 2 MB page, so 256-byte base pages (128 KB huge pages) keep the
+    // other arrays off the huge range; both dTLB structures, the
+    // size-tagged L2 and huge cached walks all run.
+    cells.push((
+        "spmv/imp/mixed-huge".into(),
+        Sim::workload("spmv")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp")
+            .page_size(256)
+            .l2_tlb(64, 4)
+            .tlb_prefetch(true)
+            .walk_model(WalkModel::Cached)
+            .page_policy("x", PagePolicy::Huge2M),
+    ));
+    // Non-blocking prefetch walks next to a huge region, with flat
+    // walks accounted as DRAM traffic.
+    cells.push((
+        "graph500/imp/huge-nonblocking".into(),
+        Sim::workload("graph500")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp")
+            .tlb(TlbConfig {
+                walk_dram_traffic: true,
+                ..TlbConfig::finite().with_policy(TranslationPolicy::NonBlockingWalk)
+            })
+            .page_size(256)
+            .page_policy("parent", PagePolicy::Huge2M),
+    ));
     cells
 }

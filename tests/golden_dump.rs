@@ -11,7 +11,7 @@ mod golden;
 
 use imp::common::fnv1a;
 
-const DIGESTS: [(&str, u64); 13] = [
+const DIGESTS: [(&str, u64); 15] = [
     ("spmv/none", 0xe4a1_5ddd_1a92_1490),
     ("spmv/stream", 0xb1a4_1497_1462_80c5),
     ("spmv/imp", 0xd04b_32e0_e8a2_71e4),
@@ -25,6 +25,8 @@ const DIGESTS: [(&str, u64); 13] = [
     ("pagerank/imp/tlb", 0xce33_34dc_472b_39f8),
     ("pagerank/imp/l2tlb-walk", 0x6712_e795_9988_a9c1),
     ("lsh/imp/partial", 0x3487_7f83_2276_a73b),
+    ("spmv/imp/mixed-huge", 0x6c3c_abe6_c2bb_a2b6),
+    ("graph500/imp/huge-nonblocking", 0xc181_bf88_164f_6e17),
 ];
 
 #[test]
