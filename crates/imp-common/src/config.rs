@@ -699,8 +699,12 @@ impl TlbConfig {
     }
 
     /// Canonical form for digesting: every timing-relevant field in a
-    /// stable order. Two configs produce the same string iff they run
-    /// identically; the string is what `imp-store` hashes into a cell
+    /// stable order. Two configs with the same string run identically;
+    /// the converse does not hold, since fields that a run never
+    /// consults still count (`walk_dram_traffic` under
+    /// [`WalkModel::Cached`], `l2_latency` with no L2 TLB, `huge_sets`
+    /// and `huge_ways` with no region on huge pages), which only costs a
+    /// redundant run. The string is what `imp-store` hashes into a cell
     /// digest, so any new field that changes timing must be appended
     /// here (appending changes the digest, which safely invalidates
     /// cached results).

@@ -834,6 +834,52 @@ mod tests {
     }
 
     #[test]
+    fn zero_latency_walks_reach_the_probe() {
+        // Free PTE reads still walk: with no L2 TLB every dTLB miss is
+        // one walk the probe records, whatever the per-level latency.
+        for latency in [25, 0] {
+            let (stats, report) = Sim::workload("pagerank")
+                .scale(Scale::Tiny)
+                .cores(4)
+                .prefetcher("imp")
+                .tlb(TlbConfig::finite().with_walk_latency(latency))
+                .observe(ObsConfig::metrics())
+                .run_observed()
+                .unwrap();
+            let walks = stats.tlb_total().misses;
+            assert!(walks > 0, "the finite dTLB must miss");
+            assert_eq!(report.walk_latency.count(), walks, "latency {latency}");
+        }
+    }
+
+    #[test]
+    fn zero_latency_l2_hits_reach_the_probe() {
+        // A free L2 probe costs what a dTLB hit does, yet every L2 hit
+        // is still reported as one.
+        let (stats, report) = Sim::workload("pagerank")
+            .scale(Scale::Tiny)
+            .cores(4)
+            .prefetcher("imp")
+            .tlb(
+                TlbConfig::finite()
+                    .with_ways(1)
+                    .with_l2(64, 4)
+                    .with_l2_latency(0),
+            )
+            .observe(ObsConfig::metrics().with_trace(1 << 16))
+            .run_observed()
+            .unwrap();
+        let trace = report.trace.expect("tracing was on");
+        assert_eq!(trace.pushes(), trace.len() as u64, "no event dropped");
+        let l2_hits = trace
+            .iter()
+            .filter(|e| e.kind == imp_obs::EventKind::L2TlbHit)
+            .count() as u64;
+        assert!(stats.tlb_l2.hits > 0, "the 1-way dTLB must spill to the L2");
+        assert_eq!(l2_hits, stats.tlb_l2.hits);
+    }
+
+    #[test]
     fn page_policy_overrides_resolve_and_validate() {
         let base = Sim::workload("pagerank")
             .scale(Scale::Tiny)

@@ -319,13 +319,10 @@ impl Probe {
 
     /// A demand translation on `core` that left the dTLB: an L2-TLB
     /// hit (`levels == 0`) or a page walk of `levels` radix levels,
-    /// costing `cycles` from `start`. dTLB hits (`cycles == 0`) are
-    /// not recorded.
+    /// costing `cycles` from `start` (zero when the configured latency
+    /// is). Callers do not report dTLB hits.
     #[inline]
     pub fn translation(&self, core: u32, vaddr: u64, start: Cycle, cycles: Cycle, levels: u32) {
-        if cycles == 0 {
-            return;
-        }
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
         let kind = if levels == 0 {
@@ -588,7 +585,7 @@ mod tests {
         p.prefetch_fill(0, line(2), 130);
         p.translation(0, 0x1234, 200, 40, 4);
         p.translation(0, 0x5678, 300, 8, 0); // L2 hit: not a walk
-        p.translation(0, 0x9abc, 310, 0, 0); // dTLB hit: unrecorded
+        p.translation(0, 0x9abc, 310, 0, 0); // zero-latency L2 hit: recorded
         p.barrier_wait(1, 400, 450);
         p.coh_msg(2, 3, line(9), 410);
         p.dir_invalidate(2, line(9), None, 415);
@@ -606,7 +603,8 @@ mod tests {
         let total_fills: u64 = report.epochs.iter().map(|e| e.counters.pf_fills).sum();
         assert_eq!(total_fills, 2);
         let trace = report.trace.as_ref().unwrap();
-        assert!(trace.iter().any(|e| e.kind == EventKind::L2TlbHit));
+        let l2_hits = trace.iter().filter(|e| e.kind == EventKind::L2TlbHit);
+        assert_eq!(l2_hits.count(), 2);
         assert!(trace.iter().any(|e| e.kind == EventKind::DirInvalidate));
         let json = trace.to_chrome_json();
         assert!(json.contains("prefetch_first_use"));

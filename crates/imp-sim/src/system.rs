@@ -31,7 +31,9 @@ use imp_prefetch::{
     PrefetchKind, PrefetchRequest, PrefetcherStats,
 };
 use imp_trace::{BarrierMismatch, OpKind, Program};
-use imp_vm::{PagePlacement, PrefetchTranslation, Vm, VmConfigError, WalkMemory, PTE_BYTES};
+use imp_vm::{
+    PagePlacement, PrefetchTranslation, TranslationSource, Vm, VmConfigError, WalkMemory, PTE_BYTES,
+};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -474,15 +476,18 @@ impl Fabric {
         };
         let t = vm.demand_translate_via(c, addr, now, self);
         self.vm = Some(vm);
-        // walk_levels is 0 exactly on a TLB hit (either level); a
-        // zero-latency flat walk still reads its page-table entries.
-        if t.walk_levels > 0 {
-            self.walk_traffic(t.walk_levels);
-        }
-        if t.source() != imp_vm::TranslationSource::DTlbHit {
-            self.probe
-                .translation(c as u32, addr.raw(), now, t.walk_cycles, t.walk_levels);
-        }
+        let levels = match t.source {
+            TranslationSource::DTlbHit => return 0,
+            TranslationSource::L2TlbHit => 0,
+            TranslationSource::Walk { levels } => {
+                // Even a zero-latency flat walk reads its page-table
+                // entries.
+                self.walk_traffic(levels);
+                levels
+            }
+        };
+        self.probe
+            .translation(c as u32, addr.raw(), now, t.walk_cycles, levels);
         t.walk_cycles
     }
 

@@ -1,6 +1,6 @@
-//! Virtual-memory subsystem for the IMP reproduction: per-core dTLBs, a
-//! shared radix page table with a page walker, and translation policies
-//! for prefetches.
+//! Virtual-memory subsystem for the IMP reproduction: per-core dTLBs
+//! over a shared L2 TLB, a shared radix page table whose walks are timed
+//! through a memory hook, and translation policies for prefetches.
 //!
 //! The seed simulator treated every 48-bit virtual address as directly
 //! usable — no TLB, no page-table walks. That flatters value-derived
@@ -8,19 +8,19 @@
 //! arbitrary virtual pages and, in hardware, are only issuable after
 //! address translation. This crate supplies the missing machinery:
 //!
-//! * [`Tlb`] — a set-associative, true-LRU TLB with hit/miss/eviction
-//!   statistics and a configurable page size.
-//! * [`L2Tlb`] — a *shared* second-level TLB behind the per-core
-//!   dTLBs, with its own ledger; the level IMP's translation
-//!   prefetching prefills for its value-derived predictions.
-//! * [`PageTable`] / [`PageWalker`] — a sparse radix tree (9 index bits
-//!   per level over a 48-bit space) and a walker charging either a flat
-//!   per-level latency or — through a [`WalkMemory`] hook — whatever
-//!   the memory hierarchy says each page-table-entry read costs;
-//!   unmapped pages are identity-mapped on first touch, so translation
-//!   changes *timing*, never data.
+//! * [`Tlb`] — a set-associative, true-LRU TLB with size-tagged entries
+//!   and hit/miss/eviction statistics. It serves both as each core's
+//!   dTLB and as the *shared* L2 TLB behind them, the level IMP's
+//!   translation prefetching prefills for its value-derived
+//!   predictions.
+//! * [`PageTable`] — a sparse radix tree (9 index bits per level over a
+//!   48-bit space). [`PageTable::walk`] descends it once, reading each
+//!   level's page-table entry through a [`WalkMemory`] hook: a flat
+//!   per-level latency ([`FlatWalkMemory`]) or whatever the memory
+//!   hierarchy says each read costs. Unmapped pages are identity-mapped
+//!   on first touch, so translation changes *timing*, never data.
 //! * [`Vm`] — the engine `imp-sim` embeds: per-core TLBs over one
-//!   shared L2 TLB, table and walker, applying
+//!   shared L2 TLB and page table, applying
 //!   [`imp_common::TranslationPolicy`] to prefetch translations
 //!   (`DropOnMiss` | `NonBlockingWalk` | `Ideal`) while demand
 //!   translations always walk (and stall), plus the
@@ -31,8 +31,14 @@
 //!   translate through per-core huge-page sub-TLBs (x86-style split
 //!   dTLB, own [`TlbStats`] ledger per size), huge leaves sit one
 //!   radix level up in the [`PageTable`] (one fewer PTE read per walk,
-//!   also under `WalkModel::Cached`), and the shared [`L2Tlb`] caches
-//!   both sizes side by side with size-tagged entries.
+//!   also under `WalkModel::Cached`), and the shared L2 TLB caches
+//!   both sizes side by side.
+//!
+//! Page size is an argument, not a type: every [`Tlb`] and
+//! [`PageTable`] operation takes the page shift it works at — the base
+//! shift of `TlbConfig::page_bytes`, or the huge shift of
+//! [`imp_common::TlbConfig::huge_page_bytes`] one radix level up — and
+//! [`Vm`] picks the shift of each address from its placement.
 //!
 //! Configuration lives in [`imp_common::TlbConfig`]; the default
 //! [`imp_common::TlbConfig::ideal`] disables the subsystem entirely and
@@ -63,14 +69,12 @@
 //! assert!(matches!(p, PrefetchTranslation::Dropped));
 //! ```
 
-mod l2;
 mod page_table;
 mod tlb;
 
-pub use l2::L2Tlb;
 pub use page_table::{
-    FlatWalkMemory, PageTable, PageWalker, Walk, WalkMemory, ADDRESS_BITS, LEVEL_BITS, MAX_LEVELS,
-    NODE_BYTES, PTE_BYTES, PT_BASE,
+    FlatWalkMemory, PageTable, Walk, WalkMemory, ADDRESS_BITS, LEVEL_BITS, MAX_LEVELS, NODE_BYTES,
+    PTE_BYTES, PT_BASE,
 };
 pub use tlb::Tlb;
 
@@ -190,7 +194,7 @@ pub fn validate_placement(cfg: &TlbConfig, placement: &PagePlacement) -> Result<
     if cfg.ideal || placement.is_empty() {
         return Ok(());
     }
-    if cfg.page_bytes.trailing_zeros() + LEVEL_BITS >= ADDRESS_BITS {
+    if cfg.huge_page_bytes().trailing_zeros() >= ADDRESS_BITS {
         return Err(VmConfigError::HugePageTooLarge {
             page_bytes: cfg.page_bytes,
             huge_bytes: cfg.huge_page_bytes(),
@@ -295,15 +299,14 @@ pub struct DemandTranslation {
     /// the L2-TLB latency on an L2 hit, and L2 latency plus the full
     /// page walk on a miss of both levels.
     pub walk_cycles: Cycle,
-    /// Radix levels the walk traversed (0 on a hit at either TLB
-    /// level).
-    pub walk_levels: u32,
+    /// Where the translation was resolved, recorded where the [`Vm`]
+    /// decided it: with a zero L2 or walk latency the cost alone cannot
+    /// tell the levels apart.
+    pub source: TranslationSource,
 }
 
-/// Where a demand translation was resolved (derived from
-/// [`DemandTranslation`]'s cost fields; observability consumers key
-/// latency attribution on this instead of re-deriving the
-/// cycles/levels encoding).
+/// Where a demand translation was resolved (observability consumers key
+/// latency attribution on this).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TranslationSource {
     /// The per-core dTLB held the page: zero stall.
@@ -317,21 +320,6 @@ pub enum TranslationSource {
         /// Radix levels traversed.
         levels: u32,
     },
-}
-
-impl DemandTranslation {
-    /// Classifies which structure resolved this translation.
-    pub fn source(&self) -> TranslationSource {
-        if self.walk_levels > 0 {
-            TranslationSource::Walk {
-                levels: self.walk_levels,
-            }
-        } else if self.walk_cycles > 0 {
-            TranslationSource::L2TlbHit
-        } else {
-            TranslationSource::DTlbHit
-        }
-    }
 }
 
 /// A prefetch translation under the configured
@@ -369,27 +357,29 @@ pub struct TranslationPrefetch {
 /// The virtual-memory engine: one *split* dTLB per core (a base-page
 /// structure plus, when any region is placed on huge pages, an
 /// x86-style huge-page sub-TLB with its own ledger) over one shared
-/// unified L2 TLB (when configured), one shared page table and walker
-/// (the page table is the process's; the walker models each core's
-/// page-miss handler but shares the table structure).
+/// unified L2 TLB (when configured) and one shared page table (the
+/// page table is the process's; each core's walks model its own
+/// page-miss handler).
 ///
 /// The [`PagePlacement`] fixed at construction classifies every address
 /// to exactly one page size; translations, walks, statistics and the
 /// translation-prefetch port all honor it.
 #[derive(Clone, Debug)]
 pub struct Vm {
-    tlbs: Vec<Tlb>,
-    /// Huge-page sub-TLBs, one per core; empty when the placement is
-    /// empty (no address ever classifies huge then).
-    huge_tlbs: Vec<Tlb>,
-    l2: Option<L2Tlb>,
+    /// Per-core dTLBs by page size, indexed like `shifts`: the base
+    /// structures, then the huge-page sub-TLBs (none when the placement
+    /// is empty — no address ever classifies huge then).
+    dtlbs: [Vec<Tlb>; 2],
+    /// Page shift of each size: `[base, huge]`.
+    shifts: [u32; 2],
+    /// The shared L2 TLB, caching both sizes side by side.
+    l2: Option<Tlb>,
     table: PageTable,
-    walker: PageWalker,
     policy: TranslationPolicy,
     l2_latency: Cycle,
+    walk_latency: Cycle,
     walk_model: WalkModel,
     placement: PagePlacement,
-    page_shift: u32,
 }
 
 impl Vm {
@@ -427,91 +417,73 @@ impl Vm {
         validate_placement(&cfg, &placement)?;
         let huge_cores = if placement.is_empty() { 0 } else { cores };
         Ok(Vm {
-            tlbs: (0..cores)
-                .map(|_| Tlb::new(cfg.sets, cfg.ways, cfg.page_bytes))
-                .collect(),
-            huge_tlbs: (0..huge_cores)
-                .map(|_| Tlb::new(cfg.huge_sets, cfg.huge_ways, cfg.huge_page_bytes()))
-                .collect(),
-            l2: cfg
-                .has_l2()
-                .then(|| L2Tlb::new(cfg.l2_sets, cfg.l2_ways, cfg.page_bytes)),
+            dtlbs: [
+                (0..cores).map(|_| Tlb::new(cfg.sets, cfg.ways)).collect(),
+                (0..huge_cores)
+                    .map(|_| Tlb::new(cfg.huge_sets, cfg.huge_ways))
+                    .collect(),
+            ],
+            shifts: [
+                cfg.page_bytes.trailing_zeros(),
+                cfg.huge_page_bytes().trailing_zeros(),
+            ],
+            l2: cfg.has_l2().then(|| Tlb::new(cfg.l2_sets, cfg.l2_ways)),
             table: PageTable::new(cfg.page_bytes),
-            walker: PageWalker::new(cfg.walk_latency),
             policy: cfg.policy,
             l2_latency: cfg.l2_latency,
+            walk_latency: cfg.walk_latency,
             walk_model: cfg.walk_model,
             placement,
-            page_shift: cfg.page_bytes.trailing_zeros(),
         })
     }
 
-    /// The prefetch-translation policy in force.
-    pub fn policy(&self) -> TranslationPolicy {
-        self.policy
+    /// The page size `vaddr` translates at, as an index into `dtlbs`
+    /// and `shifts`.
+    fn size(&self, vaddr: Addr) -> usize {
+        usize::from(self.placement.is_huge(vaddr))
     }
 
-    /// The walk-timing model in force.
-    pub fn walk_model(&self) -> WalkModel {
-        self.walk_model
-    }
-
-    /// Whether a shared L2 TLB is configured.
-    pub fn has_l2(&self) -> bool {
-        self.l2.is_some()
-    }
-
-    /// The huge-page placement this engine translates under.
-    pub fn placement(&self) -> &PagePlacement {
-        &self.placement
-    }
-
-    /// Whether `vaddr` translates at the huge page size.
-    fn is_huge(&self, vaddr: Addr) -> bool {
-        !self.huge_tlbs.is_empty() && self.placement.is_huge(vaddr)
-    }
-
-    /// The page shift `vaddr` translates at.
-    fn shift_for(&self, huge: bool) -> u32 {
-        if huge {
-            self.page_shift + LEVEL_BITS
-        } else {
-            self.page_shift
-        }
-    }
-
-    /// `core`'s dTLB structure for the given page size.
-    fn dtlb_mut(&mut self, core: usize, huge: bool) -> &mut Tlb {
-        if huge {
-            &mut self.huge_tlbs[core]
-        } else {
-            &mut self.tlbs[core]
-        }
-    }
-
-    /// Walks `vaddr`'s page (at its classified size) under the
-    /// configured [`WalkModel`]: flat per-level latency, or PTE reads
-    /// chained through `mem` from `now`. Huge pages walk one level
-    /// fewer.
+    /// Walks `vaddr`'s page at `shift` from `now` under the configured
+    /// [`WalkModel`]: PTE reads through `mem` when cached, at the flat
+    /// per-level latency otherwise.
     fn walk(
         &mut self,
         core: usize,
         vaddr: Addr,
+        shift: u32,
         now: Cycle,
         mem: &mut dyn WalkMemory,
-        huge: bool,
     ) -> Walk {
-        match (self.walk_model, huge) {
-            (WalkModel::Flat, false) => self.walker.walk(&mut self.table, vaddr),
-            (WalkModel::Flat, true) => self.walker.walk_huge(&mut self.table, vaddr),
-            (WalkModel::Cached, false) => {
-                self.walker.walk_via(&mut self.table, vaddr, core, now, mem)
+        match self.walk_model {
+            WalkModel::Flat => {
+                let mut flat = FlatWalkMemory(self.walk_latency);
+                self.table.walk(vaddr, shift, core, now, &mut flat)
             }
-            (WalkModel::Cached, true) => {
-                self.walker
-                    .walk_via_huge(&mut self.table, vaddr, core, now, mem)
-            }
+            WalkModel::Cached => self.table.walk(vaddr, shift, core, now, mem),
         }
+    }
+
+    /// Installs a walked translation in the shared L2 TLB (when
+    /// present) and in `core`'s dTLB, which is charged the walk, and
+    /// returns the physical address. A prefetch-initiated walk counts
+    /// in both levels' `prefetch_walks` — in the L2 as a prefetch
+    /// install rather than a miss (its probe was a prefetch probe),
+    /// keeping `evictions == misses + prefetch_walks - cold_fills`.
+    fn install(
+        &mut self,
+        core: usize,
+        vaddr: Addr,
+        size: usize,
+        walk: Walk,
+        prefetch: bool,
+    ) -> Addr {
+        let shift = self.shifts[size];
+        if let Some(l2) = self.l2.as_mut() {
+            l2.fill(vaddr, walk.ppn, shift);
+            l2.stats_mut().prefetch_walks += u64::from(prefetch);
+        }
+        fill_walked(&mut self.dtlbs[size][core], vaddr, shift, walk, prefetch);
+        splice_ppn(vaddr, walk.ppn, shift)
     }
 
     /// Translates a demand access for `core`, walking (and stalling)
@@ -519,7 +491,7 @@ impl Vm {
     /// [`Vm::demand_translate_via`] with a [`FlatWalkMemory`], which
     /// simulators with a real memory hierarchy use instead.
     pub fn demand_translate(&mut self, core: usize, vaddr: Addr) -> DemandTranslation {
-        let mut flat = FlatWalkMemory(self.walker.latency_per_level());
+        let mut flat = FlatWalkMemory(self.walk_latency);
         self.demand_translate_via(core, vaddr, 0, &mut flat)
     }
 
@@ -534,13 +506,13 @@ impl Vm {
         now: Cycle,
         mem: &mut dyn WalkMemory,
     ) -> DemandTranslation {
-        let huge = self.is_huge(vaddr);
-        let shift = self.shift_for(huge);
-        if let Some(paddr) = self.dtlb_mut(core, huge).lookup_sized(vaddr, shift) {
+        let size = self.size(vaddr);
+        let shift = self.shifts[size];
+        if let Some(paddr) = self.dtlbs[size][core].lookup(vaddr, shift) {
             return DemandTranslation {
                 paddr,
                 walk_cycles: 0,
-                walk_levels: 0,
+                source: TranslationSource::DTlbHit,
             };
         }
         // The dTLB missed: the L2 TLB (when present) is probed next,
@@ -548,36 +520,29 @@ impl Vm {
         let mut l2_probe = 0;
         if let Some(l2) = self.l2.as_mut() {
             l2_probe = self.l2_latency;
-            if let Some(paddr) = l2.demand_lookup_sized(vaddr, shift) {
-                let ppn = paddr.raw() >> shift;
-                self.dtlb_mut(core, huge).fill_sized(vaddr, ppn, shift);
+            if let Some(paddr) = l2.lookup(vaddr, shift) {
+                self.dtlbs[size][core].fill(vaddr, paddr.raw() >> shift, shift);
                 return DemandTranslation {
                     paddr,
                     walk_cycles: l2_probe,
-                    walk_levels: 0,
+                    source: TranslationSource::L2TlbHit,
                 };
             }
         }
-        let walk = self.walk(core, vaddr, now + l2_probe, mem, huge);
-        if let Some(l2) = self.l2.as_mut() {
-            l2.install_sized(vaddr, walk.ppn, shift);
-        }
-        let tlb = self.dtlb_mut(core, huge);
-        tlb.fill_sized(vaddr, walk.ppn, shift);
-        let stats = tlb.stats_mut();
-        stats.walk_cycles += walk.cycles;
-        stats.walk_levels += u64::from(walk.levels);
+        let walk = self.walk(core, vaddr, shift, now + l2_probe, mem);
         DemandTranslation {
-            paddr: splice_ppn(vaddr, walk.ppn, shift),
+            paddr: self.install(core, vaddr, size, walk, false),
             walk_cycles: l2_probe + walk.cycles,
-            walk_levels: walk.levels,
+            source: TranslationSource::Walk {
+                levels: walk.levels,
+            },
         }
     }
 
     /// Translates a prefetch address for `core` under the configured
     /// policy; flat walk timing (see [`Vm::prefetch_translate_via`]).
     pub fn prefetch_translate(&mut self, core: usize, vaddr: Addr) -> PrefetchTranslation {
-        let mut flat = FlatWalkMemory(self.walker.latency_per_level());
+        let mut flat = FlatWalkMemory(self.walk_latency);
         self.prefetch_translate_via(core, vaddr, 0, &mut flat)
     }
 
@@ -601,18 +566,15 @@ impl Vm {
         if self.policy == TranslationPolicy::Ideal {
             return PrefetchTranslation::Ready(vaddr);
         }
-        let huge = self.is_huge(vaddr);
-        let shift = self.shift_for(huge);
-        if let Some(paddr) = self
-            .dtlb_mut(core, huge)
-            .prefetch_lookup_sized(vaddr, shift)
-        {
+        let size = self.size(vaddr);
+        let shift = self.shifts[size];
+        if let Some(paddr) = self.dtlbs[size][core].prefetch_lookup(vaddr, shift) {
             return PrefetchTranslation::Ready(paddr);
         }
         let mut l2_probe = 0;
         if let Some(l2) = self.l2.as_mut() {
             l2_probe = self.l2_latency;
-            if let Some(paddr) = l2.prefetch_probe_sized(vaddr, shift) {
+            if let Some(paddr) = l2.prefetch_lookup(vaddr, shift) {
                 return PrefetchTranslation::Walked {
                     paddr,
                     cycles: l2_probe,
@@ -622,26 +584,13 @@ impl Vm {
         }
         match self.policy {
             TranslationPolicy::DropOnMiss => {
-                self.dtlb_mut(core, huge).stats_mut().prefetch_drops += 1;
+                self.dtlbs[size][core].stats_mut().prefetch_drops += 1;
                 PrefetchTranslation::Dropped
             }
             TranslationPolicy::NonBlockingWalk => {
-                let walk = self.walk(core, vaddr, now + l2_probe, mem, huge);
-                if let Some(l2) = self.l2.as_mut() {
-                    // A prefetch-initiated install: ledgered in the
-                    // L2's `prefetch_walks` (not `misses` — the probe
-                    // above was a prefetch probe), keeping `evictions
-                    // == misses + prefetch installs - cold_fills`.
-                    l2.prefetch_install_sized(vaddr, walk.ppn, shift);
-                }
-                let tlb = self.dtlb_mut(core, huge);
-                tlb.fill_sized(vaddr, walk.ppn, shift);
-                let stats = tlb.stats_mut();
-                stats.prefetch_walks += 1;
-                stats.walk_cycles += walk.cycles;
-                stats.walk_levels += u64::from(walk.levels);
+                let walk = self.walk(core, vaddr, shift, now + l2_probe, mem);
                 PrefetchTranslation::Walked {
-                    paddr: splice_ppn(vaddr, walk.ppn, shift),
+                    paddr: self.install(core, vaddr, size, walk, true),
                     cycles: l2_probe + walk.cycles,
                     levels: walk.levels,
                 }
@@ -681,72 +630,60 @@ impl Vm {
         now: Cycle,
         mem: &mut dyn WalkMemory,
     ) -> TranslationPrefetch {
-        let huge = self.is_huge(vaddr);
-        let shift = self.shift_for(huge);
+        let size = self.size(vaddr);
+        let shift = self.shifts[size];
         let resident = self.policy == TranslationPolicy::Ideal
-            || self.dtlb(core, huge).contains_sized(vaddr, shift)
-            || self
-                .l2
-                .as_ref()
-                .is_some_and(|l2| l2.contains_sized(vaddr, shift));
+            || self.dtlbs[size][core].contains(vaddr, shift)
+            || self.l2.as_ref().is_some_and(|l2| l2.contains(vaddr, shift));
         if resident {
             return TranslationPrefetch {
                 ready: now,
                 walk_levels: 0,
             };
         }
-        let walk = self.walk(core, vaddr, now, mem, huge);
-        match self.l2.as_mut() {
-            Some(l2) => {
-                l2.prefetch_install_sized(vaddr, walk.ppn, shift);
-                let stats = l2.stats_mut();
-                stats.walk_cycles += walk.cycles;
-                stats.walk_levels += u64::from(walk.levels);
-            }
-            None => {
-                let tlb = self.dtlb_mut(core, huge);
-                tlb.fill_sized(vaddr, walk.ppn, shift);
-                let stats = tlb.stats_mut();
-                stats.prefetch_walks += 1;
-                stats.walk_cycles += walk.cycles;
-                stats.walk_levels += u64::from(walk.levels);
-            }
-        }
+        let walk = self.walk(core, vaddr, shift, now, mem);
+        let tlb = match self.l2.as_mut() {
+            Some(l2) => l2,
+            None => &mut self.dtlbs[size][core],
+        };
+        fill_walked(tlb, vaddr, shift, walk, true);
         TranslationPrefetch {
             ready: now + walk.cycles,
             walk_levels: walk.levels,
         }
     }
 
-    /// `core`'s dTLB structure for the given page size (shared ref).
-    fn dtlb(&self, core: usize, huge: bool) -> &Tlb {
-        if huge {
-            &self.huge_tlbs[core]
-        } else {
-            &self.tlbs[core]
-        }
-    }
-
     /// Per-core base-page TLB statistics.
     pub fn stats(&self, core: usize) -> &TlbStats {
-        self.tlbs[core].stats()
+        self.dtlbs[0][core].stats()
     }
 
     /// Per-core huge-page sub-TLB statistics, when the placement put
     /// any region on huge pages.
     pub fn huge_stats(&self, core: usize) -> Option<&TlbStats> {
-        self.huge_tlbs.get(core).map(Tlb::stats)
+        self.dtlbs[1].get(core).map(Tlb::stats)
     }
 
     /// The shared L2 TLB's statistics, when one is configured.
     pub fn l2_stats(&self) -> Option<&TlbStats> {
-        self.l2.as_ref().map(L2Tlb::stats)
+        self.l2.as_ref().map(Tlb::stats)
     }
 
     /// The shared page table (diagnostics: mapped-page counts).
     pub fn page_table(&self) -> &PageTable {
         &self.table
     }
+}
+
+/// Installs `walk`'s translation of `vaddr` in `tlb` at page `shift`
+/// and charges the walk to its ledger; a `prefetch`-initiated walk also
+/// counts in `prefetch_walks`.
+fn fill_walked(tlb: &mut Tlb, vaddr: Addr, shift: u32, walk: Walk, prefetch: bool) {
+    tlb.fill(vaddr, walk.ppn, shift);
+    let stats = tlb.stats_mut();
+    stats.prefetch_walks += u64::from(prefetch);
+    stats.walk_cycles += walk.cycles;
+    stats.walk_levels += u64::from(walk.levels);
 }
 
 /// Splices `ppn` onto `vaddr`'s page offset (the one place the
@@ -760,19 +697,47 @@ pub(crate) fn splice_ppn(vaddr: Addr, ppn: u64, page_shift: u32) -> Addr {
 mod tests {
     use super::*;
 
+    /// A 1-entry dTLB over an 8 x 4 L2: pages `a`, `b`, `a` walk, walk,
+    /// then hit the L2.
+    fn thrash_the_dtlb(cfg: TlbConfig) -> (Vm, [DemandTranslation; 3]) {
+        let mut cfg = cfg.with_l2(8, 4);
+        cfg.sets = 1;
+        cfg.ways = 1;
+        let mut vm = Vm::new(&cfg, 1).unwrap();
+        let (a, b) = (Addr::new(0x1_0000), Addr::new(0x2_0000));
+        let t = [a, b, a].map(|p| vm.demand_translate(0, p));
+        (vm, t)
+    }
+
     #[test]
     fn translation_source_classifies_cost_fields() {
-        let t = |walk_cycles, walk_levels| DemandTranslation {
-            paddr: Addr::new(0),
-            walk_cycles,
-            walk_levels,
-        };
-        assert_eq!(t(0, 0).source(), TranslationSource::DTlbHit);
-        assert_eq!(t(7, 0).source(), TranslationSource::L2TlbHit);
-        assert_eq!(t(400, 4).source(), TranslationSource::Walk { levels: 4 });
-        // A zero-latency flat walk is still a walk (its PTE reads are
-        // real traffic).
-        assert_eq!(t(0, 4).source(), TranslationSource::Walk { levels: 4 });
+        // At non-zero latencies the recorded source agrees with what
+        // the cost fields say: a walk stalls the L2 probe plus its
+        // levels, an L2 hit the probe alone, a dTLB hit nothing.
+        let cfg = TlbConfig::finite();
+        let (mut vm, [walk, _, l2_hit]) = thrash_the_dtlb(cfg);
+        assert_eq!(walk.source, TranslationSource::Walk { levels: 4 });
+        assert_eq!(walk.walk_cycles, cfg.l2_latency + 4 * cfg.walk_latency);
+        assert_eq!(l2_hit.source, TranslationSource::L2TlbHit);
+        assert_eq!(l2_hit.walk_cycles, cfg.l2_latency);
+        let d_hit = vm.demand_translate(0, Addr::new(0x1_0040));
+        assert_eq!(d_hit.source, TranslationSource::DTlbHit);
+        assert_eq!(d_hit.walk_cycles, 0);
+    }
+
+    #[test]
+    fn zero_latency_translations_keep_their_source() {
+        // With a free L2 probe the L2 hit costs what a dTLB hit does,
+        // and with free PTE reads so does a walk; the source still
+        // names the level that resolved each translation.
+        let (vm, [_, _, l2_hit]) = thrash_the_dtlb(TlbConfig::finite().with_l2_latency(0));
+        assert_eq!(l2_hit.walk_cycles, 0);
+        assert_eq!(l2_hit.source, TranslationSource::L2TlbHit);
+        assert_eq!(vm.l2_stats().unwrap().hits, 1);
+        let (_, [walk, ..]) =
+            thrash_the_dtlb(TlbConfig::finite().with_l2_latency(0).with_walk_latency(0));
+        assert_eq!(walk.walk_cycles, 0);
+        assert_eq!(walk.source, TranslationSource::Walk { levels: 4 });
     }
 
     #[test]
@@ -884,6 +849,22 @@ mod tests {
     }
 
     #[test]
+    fn l2_prefetch_installs_are_ledgered() {
+        // A 1 x 1 L2: the port's second install displaces the first,
+        // and the eviction ledger includes prefetch installs.
+        let cfg = TlbConfig::finite().with_l2(1, 1);
+        let mut vm = Vm::new(&cfg, 1).unwrap();
+        let mut flat = FlatWalkMemory(cfg.walk_latency);
+        vm.prefetch_translation(0, Addr::new(3 << 12), 0, &mut flat);
+        let l2 = vm.l2_stats().unwrap();
+        assert_eq!((l2.prefetch_walks, l2.cold_fills), (1, 1));
+        vm.prefetch_translation(0, Addr::new(4 << 12), 0, &mut flat);
+        let l2 = vm.l2_stats().unwrap();
+        assert_eq!(l2.evictions, 1);
+        assert_eq!(l2.evictions, l2.misses + l2.prefetch_walks - l2.cold_fills);
+    }
+
+    #[test]
     fn non_blocking_prefetch_walks_keep_the_l2_ledger_consistent() {
         // 1x1 L2: the second cold prefetch walk's install evicts the
         // first. Those installs are prefetch-initiated, so the ledger
@@ -951,7 +932,11 @@ mod tests {
         let ha = Addr::new(huge + 0x1234);
         let d = vm.demand_translate(0, ha);
         assert_eq!(d.paddr, ha, "identity mapping preserves addresses");
-        assert_eq!(d.walk_levels, 3, "2 MB leaves sit one level up");
+        assert_eq!(
+            d.source,
+            TranslationSource::Walk { levels: 3 },
+            "2 MB leaves sit one level up"
+        );
         assert_eq!(d.walk_cycles, 3 * cfg.walk_latency);
         let h = vm.huge_stats(0).unwrap();
         assert_eq!((h.hits, h.misses, h.walk_levels), (0, 1, 3));
@@ -968,7 +953,7 @@ mod tests {
         // A base-region access walks the full depth into the base
         // ledger; the two sub-TLBs never cross-talk.
         let d = vm.demand_translate(0, Addr::new(0x5000));
-        assert_eq!(d.walk_levels, 4);
+        assert_eq!(d.source, TranslationSource::Walk { levels: 4 });
         assert_eq!(vm.stats(0).misses, 1);
         assert_eq!(vm.stats(0).walk_levels, 4);
         assert_eq!(vm.huge_stats(0).unwrap().misses, 1);

@@ -1,5 +1,5 @@
-//! A sparse radix page table and the walker that charges its traversal
-//! cost.
+//! A sparse radix page table whose walks map pages on first touch and
+//! read their page-table entries in one descent.
 
 use imp_common::{Addr, Cycle, FastMap};
 
@@ -37,42 +37,87 @@ pub const MAX_LEVELS: usize = 5;
 struct Node {
     id: u64,
     tables: FastMap<u32, Node>,
-    leaves: FastMap<u32, u64>,
-    /// Huge-page leaves: a slot one level above the base leaves maps a
-    /// whole 512-base-page range at once (the x86 PDE-as-2MB-leaf
-    /// shape). Kept separate from `tables` so a huge mapping can never
-    /// be confused with an interior pointer.
-    huge_leaves: FastMap<u32, u64>,
+    /// Leaf mappings by page size: `[base, huge]`. A huge leaf sits one
+    /// level above the base leaves and maps a whole 512-base-page range
+    /// at once (the x86 PDE-as-2MB-leaf shape); keeping it apart from
+    /// `tables` means it can never be confused with an interior pointer.
+    leaves: [FastMap<u32, u64>; 2],
+}
+
+impl Node {
+    /// Address of this node's page-table entry for `slot`.
+    fn pte(&self, slot: u32) -> Addr {
+        Addr::new(PT_BASE + self.id * NODE_BYTES + u64::from(slot) * PTE_BYTES)
+    }
+}
+
+/// Radix slot index of `vpn` at `level` (0 = root) of a `depth`-level
+/// walk. A huge page's VPN is its base VPN shifted one level right, so
+/// both sizes index the same slots at the same depths and share
+/// interior nodes.
+fn slot_at(vpn: u64, depth: u32, level: u32) -> u32 {
+    let shift = (depth - 1 - level) * LEVEL_BITS;
+    ((vpn >> shift) & ((1 << LEVEL_BITS) - 1)) as u32
+}
+
+/// Descends from `root` to the node holding `vpn`'s leaf in a
+/// `depth`-level walk, creating missing interior nodes top-down (each
+/// takes the next id from `next_id`) and handing each interior level's
+/// page-table-entry address to `read`, root first.
+fn descend<'a>(
+    root: &'a mut Node,
+    next_id: &mut u64,
+    vpn: u64,
+    depth: u32,
+    mut read: impl FnMut(Addr),
+) -> &'a mut Node {
+    let mut node = root;
+    for l in 0..depth - 1 {
+        let slot = slot_at(vpn, depth, l);
+        read(node.pte(slot));
+        node = node.tables.entry(slot).or_insert_with(|| {
+            let fresh = Node {
+                id: *next_id,
+                ..Node::default()
+            };
+            *next_id += 1;
+            fresh
+        });
+    }
+    node
 }
 
 /// A radix page table mapping virtual page numbers to physical page
-/// numbers.
+/// numbers at two page sizes.
 ///
 /// The tree has `levels()` levels — `ceil((48 - page_bits) / 9)` — so
 /// larger pages walk fewer levels, exactly the lever huge pages pull in
-/// real hardware.
+/// real hardware. Every operation takes the page `shift` it works at:
+/// the base page shift, or the huge page shift one radix level above it
+/// (`base + LEVEL_BITS`), whose leaves sit one level up in their own
+/// map and are counted apart.
 ///
 /// ```
 /// use imp_vm::PageTable;
 ///
 /// let mut pt = PageTable::new(4096);
 /// assert_eq!(pt.levels(), 4); // (48 - 12) / 9, rounded up
-/// pt.map(5, 9);
-/// assert_eq!(pt.lookup(5), Some(9));
-/// assert_eq!(pt.lookup(6), None);
+/// pt.map(5, 9, 12);
+/// assert_eq!(pt.lookup(5, 12), Some(9));
+/// assert_eq!(pt.lookup(6, 12), None);
+/// assert_eq!(pt.lookup(0, 21), None, "huge leaves are a separate map");
 /// ```
 #[derive(Clone, Debug)]
 pub struct PageTable {
     root: Node,
-    page_shift: u32,
     levels: u32,
-    mapped_pages: u64,
-    mapped_huge_pages: u64,
+    /// Leaf mappings installed, by page size: `[base, huge]`.
+    mapped: [u64; 2],
     next_node_id: u64,
 }
 
 impl PageTable {
-    /// Creates an empty table for `page_bytes` pages.
+    /// Creates an empty table for `page_bytes` base pages.
     ///
     /// # Panics
     ///
@@ -88,137 +133,95 @@ impl PageTable {
             page_shift < ADDRESS_BITS,
             "page size must leave VPN bits in a 48-bit space"
         );
-        let vpn_bits = ADDRESS_BITS - page_shift;
         PageTable {
             root: Node::default(), // the root is node 0
-            page_shift,
-            levels: vpn_bits.div_ceil(LEVEL_BITS),
-            mapped_pages: 0,
-            mapped_huge_pages: 0,
+            levels: (ADDRESS_BITS - page_shift).div_ceil(LEVEL_BITS),
+            mapped: [0; 2],
             next_node_id: 1,
         }
     }
 
-    /// Radix depth of a walk through this table.
+    /// Radix depth of a base-page walk through this table (a huge-page
+    /// walk is one level shallower).
     pub fn levels(&self) -> u32 {
         self.levels
     }
 
-    /// The page size the table maps at.
-    pub fn page_bytes(&self) -> u64 {
-        1u64 << self.page_shift
-    }
-
-    /// Virtual page number of a byte address.
-    pub fn vpn(&self, vaddr: Addr) -> u64 {
-        vaddr.raw() >> self.page_shift
-    }
-
     /// Number of base-page leaf mappings installed.
     pub fn mapped_pages(&self) -> u64 {
-        self.mapped_pages
+        self.mapped[0]
     }
 
     /// Number of huge-page leaf mappings installed.
     pub fn mapped_huge_pages(&self) -> u64 {
-        self.mapped_huge_pages
+        self.mapped[1]
     }
 
-    /// The huge-page size one radix level above the base pages
-    /// (512 base pages: 2 MB for a 4 KB base).
-    pub fn huge_page_bytes(&self) -> u64 {
-        1u64 << self.huge_shift()
+    /// Radix depth of a walk at page `shift`, and the leaf map that ends
+    /// it (0 for base leaves, 1 for huge leaves one level up).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shift` leaves no leaf level in this table: it must be
+    /// the base page shift or the huge one a radix level above it, and
+    /// a huge page must leave VPN bits in the 48-bit space (validate
+    /// user configuration with [`crate::validate_placement`] first).
+    fn depth(&self, shift: u32) -> (u32, usize) {
+        let depth = ADDRESS_BITS.saturating_sub(shift).div_ceil(LEVEL_BITS);
+        assert!(
+            depth > 0 && depth <= self.levels && depth + 1 >= self.levels,
+            "page shift {shift} has no leaf level in a {}-level table",
+            self.levels
+        );
+        (depth, usize::from(depth < self.levels))
     }
 
-    /// Page shift of huge pages.
-    pub fn huge_shift(&self) -> u32 {
-        self.page_shift + LEVEL_BITS
-    }
-
-    /// Huge virtual page number of a byte address.
-    pub fn hvpn(&self, vaddr: Addr) -> u64 {
-        vaddr.raw() >> self.huge_shift()
-    }
-
-    /// Radix depth of a huge-page walk: one level shallower than a
-    /// base-page walk (the leaf sits where the last interior table
-    /// would hang).
-    pub fn levels_huge(&self) -> u32 {
-        self.levels - 1
-    }
-
-    /// Whether this table's geometry can hold huge leaves: the base
-    /// walk must be at least two levels deep (so there is a level to
-    /// collapse) — equivalently, the huge shift must leave VPN bits in
-    /// the 48-bit space.
-    pub fn supports_huge(&self) -> bool {
-        self.levels >= 2 && self.huge_shift() < ADDRESS_BITS
-    }
-
-    /// Radix slot index of `vpn` at `level` (0 = root). Levels are
-    /// walked without materializing the index list: this sits on the
-    /// TLB-miss path of every core.
-    fn slot_at(&self, vpn: u64, level: u32) -> u32 {
-        let shift = (self.levels - 1 - level) * LEVEL_BITS;
-        ((vpn >> shift) & ((1 << LEVEL_BITS) - 1)) as u32
-    }
-
-    /// Installs `vpn` → `ppn`, creating interior nodes as needed.
-    /// Returns `true` if the page was not mapped before.
-    pub fn map(&mut self, vpn: u64, ppn: u64) -> bool {
-        let levels = self.levels;
-        let slot =
-            |l: u32| ((vpn >> ((levels - 1 - l) * LEVEL_BITS)) & ((1 << LEVEL_BITS) - 1)) as u32;
-        let next_id = &mut self.next_node_id;
-        let mut node = &mut self.root;
-        for l in 0..levels - 1 {
-            node = node.tables.entry(slot(l)).or_insert_with(|| {
-                let fresh = Node {
-                    id: *next_id,
-                    ..Node::default()
-                };
-                *next_id += 1;
-                fresh
-            });
-        }
-        let fresh = node.leaves.insert(slot(levels - 1), ppn).is_none();
-        if fresh {
-            self.mapped_pages += 1;
-        }
+    /// Installs `vpn` → `ppn` at page `shift`, creating interior nodes
+    /// as needed. Returns `true` if the page was not mapped before.
+    pub fn map(&mut self, vpn: u64, ppn: u64, shift: u32) -> bool {
+        let (depth, size) = self.depth(shift);
+        let node = descend(&mut self.root, &mut self.next_node_id, vpn, depth, |_| {});
+        let fresh = node.leaves[size]
+            .insert(slot_at(vpn, depth, depth - 1), ppn)
+            .is_none();
+        self.mapped[size] += u64::from(fresh);
         fresh
     }
 
-    /// Looks `vpn` up without side effects.
-    pub fn lookup(&self, vpn: u64) -> Option<u64> {
+    /// Looks `vpn` up at page `shift` without side effects.
+    pub fn lookup(&self, vpn: u64, shift: u32) -> Option<u64> {
+        let (depth, size) = self.depth(shift);
         let mut node = &self.root;
-        for l in 0..self.levels - 1 {
-            node = node.tables.get(&self.slot_at(vpn, l))?;
+        for l in 0..depth - 1 {
+            node = node.tables.get(&slot_at(vpn, depth, l))?;
         }
-        node.leaves
-            .get(&self.slot_at(vpn, self.levels - 1))
+        node.leaves[size]
+            .get(&slot_at(vpn, depth, depth - 1))
             .copied()
     }
 
-    /// The page-table-entry addresses a walk for `vpn` reads, one per
-    /// radix level, in pointer-chase order (each read depends on the
-    /// previous one's value).
+    /// The page-table-entry addresses a walk for `vpn` at page `shift`
+    /// reads, one per radix level, in pointer-chase order (each read
+    /// depends on the previous one's value); a huge walk reads one fewer,
+    /// the last being the huge leaf entry.
     ///
     /// Every node sits at a stable, deterministic address in the
     /// [`PT_BASE`] region — `PT_BASE + id * NODE_BYTES + slot *
     /// PTE_BYTES` — so walks of neighbouring VPNs share PTE cache lines
-    /// exactly the way a real page table's spatial locality works. The
-    /// path is only complete after the page has been mapped (walkers
-    /// map on first touch before asking); unmapped tails are simply
+    /// exactly the way a real page table's spatial locality works, and
+    /// base and huge walks share their interior reads. The path is only
+    /// complete once the page is mapped; unmapped tails are simply
     /// absent from the returned path.
-    pub fn pte_path(&self, vpn: u64) -> ([Addr; MAX_LEVELS], usize) {
+    pub fn pte_path(&self, vpn: u64, shift: u32) -> ([Addr; MAX_LEVELS], usize) {
+        let (depth, _) = self.depth(shift);
         let mut out = [Addr::new(0); MAX_LEVELS];
         let mut len = 0;
         let mut node = &self.root;
-        for l in 0..self.levels {
-            let slot = self.slot_at(vpn, l);
-            out[len] = Addr::new(PT_BASE + node.id * NODE_BYTES + u64::from(slot) * PTE_BYTES);
+        for l in 0..depth {
+            let slot = slot_at(vpn, depth, l);
+            out[len] = node.pte(slot);
             len += 1;
-            if l + 1 < self.levels {
+            if l + 1 < depth {
                 match node.tables.get(&slot) {
                     Some(next) => node = next,
                     None => break,
@@ -228,93 +231,54 @@ impl PageTable {
         (out, len)
     }
 
-    /// Radix slot index of huge page `hvpn` at `level` (0 = root) in
-    /// the `levels_huge()`-deep huge walk. Because `hvpn == vpn >> 9`,
-    /// these slots coincide with the base walk's slots at the same
-    /// depths — huge and base mappings share interior nodes.
-    fn huge_slot_at(&self, hvpn: u64, level: u32) -> u32 {
-        let shift = (self.levels_huge() - 1 - level) * LEVEL_BITS;
-        ((hvpn >> shift) & ((1 << LEVEL_BITS) - 1)) as u32
-    }
-
-    /// Installs the huge mapping `hvpn` → `hppn`, creating interior
-    /// nodes as needed. Returns `true` if the huge page was not mapped
-    /// before.
+    /// Walks `vaddr`'s page at page `shift` on behalf of `core`, the
+    /// way a hardware page-miss handler does: one descent that reads
+    /// each level's page-table entry through `mem` starting at `now` —
+    /// the reads chain (a pointer chase), so the walk costs whatever
+    /// `mem` says — and identity-maps the page on first touch (the
+    /// simulated OS demand-allocates, so a walk never faults). Missing
+    /// nodes are created in the order [`PageTable::map`] creates them,
+    /// so every PTE address is the one [`PageTable::pte_path`] reports.
     ///
-    /// # Panics
-    ///
-    /// Panics if the geometry cannot hold huge leaves (see
-    /// [`PageTable::supports_huge`]; validate user configuration with
-    /// [`crate::validate_config`] / [`crate::Vm::with_placement`]
-    /// first).
-    pub fn map_huge(&mut self, hvpn: u64, hppn: u64) -> bool {
-        assert!(
-            self.supports_huge(),
-            "page table geometry has no level to hold huge leaves"
-        );
-        let levels = self.levels_huge();
-        let slot =
-            |l: u32| ((hvpn >> ((levels - 1 - l) * LEVEL_BITS)) & ((1 << LEVEL_BITS) - 1)) as u32;
-        let next_id = &mut self.next_node_id;
-        let mut node = &mut self.root;
-        for l in 0..levels - 1 {
-            node = node.tables.entry(slot(l)).or_insert_with(|| {
-                let fresh = Node {
-                    id: *next_id,
-                    ..Node::default()
-                };
-                *next_id += 1;
-                fresh
-            });
+    /// Through a [`FlatWalkMemory`] the walk costs exactly its levels
+    /// times the flat per-level latency.
+    pub fn walk<M: WalkMemory + ?Sized>(
+        &mut self,
+        vaddr: Addr,
+        shift: u32,
+        core: usize,
+        now: Cycle,
+        mem: &mut M,
+    ) -> Walk {
+        let (depth, size) = self.depth(shift);
+        let vpn = vaddr.raw() >> shift;
+        let mut t = now;
+        let node = descend(&mut self.root, &mut self.next_node_id, vpn, depth, |pte| {
+            t = mem.pte_read(core, pte, t);
+        });
+        let slot = slot_at(vpn, depth, depth - 1);
+        t = mem.pte_read(core, node.pte(slot), t);
+        let mut fresh = false;
+        let ppn = *node.leaves[size].entry(slot).or_insert_with(|| {
+            fresh = true;
+            vpn
+        });
+        self.mapped[size] += u64::from(fresh);
+        Walk {
+            ppn,
+            cycles: t - now,
+            levels: depth,
         }
-        let fresh = node.huge_leaves.insert(slot(levels - 1), hppn).is_none();
-        if fresh {
-            self.mapped_huge_pages += 1;
-        }
-        fresh
-    }
-
-    /// Looks huge page `hvpn` up without side effects.
-    pub fn lookup_huge(&self, hvpn: u64) -> Option<u64> {
-        let mut node = &self.root;
-        for l in 0..self.levels_huge() - 1 {
-            node = node.tables.get(&self.huge_slot_at(hvpn, l))?;
-        }
-        node.huge_leaves
-            .get(&self.huge_slot_at(hvpn, self.levels_huge() - 1))
-            .copied()
-    }
-
-    /// The page-table-entry addresses a *huge* walk for `hvpn` reads:
-    /// one fewer than a base-page walk, with the last read being the
-    /// huge leaf entry itself. Interior reads coincide with the base
-    /// walk's (shared nodes, shared PTE cache lines).
-    pub fn pte_path_huge(&self, hvpn: u64) -> ([Addr; MAX_LEVELS], usize) {
-        let mut out = [Addr::new(0); MAX_LEVELS];
-        let mut len = 0;
-        let mut node = &self.root;
-        for l in 0..self.levels_huge() {
-            let slot = self.huge_slot_at(hvpn, l);
-            out[len] = Addr::new(PT_BASE + node.id * NODE_BYTES + u64::from(slot) * PTE_BYTES);
-            len += 1;
-            if l + 1 < self.levels_huge() {
-                match node.tables.get(&slot) {
-                    Some(next) => node = next,
-                    None => break,
-                }
-            }
-        }
-        (out, len)
     }
 }
 
-/// Where a cached page walk reads its page-table entries from.
+/// Where a page walk reads its page-table entries from.
 ///
 /// Under `WalkModel::Cached` the simulator implements this over the
 /// real memory hierarchy: each PTE read crosses the NoC to its home L2
 /// slice and falls through to DRAM on a miss, contending with demand
-/// traffic. [`FlatWalkMemory`] is the trivial fixed-latency
-/// implementation.
+/// traffic. [`FlatWalkMemory`] is the fixed-latency implementation
+/// behind `WalkModel::Flat`.
 pub trait WalkMemory {
     /// Performs the page-table-entry read at `pte` on behalf of `core`,
     /// issued at `now`; returns the cycle the entry's value is
@@ -323,8 +287,7 @@ pub trait WalkMemory {
 }
 
 /// A [`WalkMemory`] charging a flat latency per PTE read — the
-/// `WalkModel::Flat` timing expressed through the hook interface
-/// (standalone `Vm` users and tests walk through this).
+/// `WalkModel::Flat` timing.
 #[derive(Clone, Copy, Debug)]
 pub struct FlatWalkMemory(pub Cycle);
 
@@ -334,143 +297,29 @@ impl WalkMemory for FlatWalkMemory {
     }
 }
 
-/// Charges the traversal cost of a [`PageTable`].
-///
-/// The walker models a hardware page-miss handler: each radix level
-/// costs `latency_per_level` cycles (a pointer chase through the memory
-/// hierarchy), or — via [`PageWalker::walk_via`] — whatever a
-/// [`WalkMemory`] says each level's PTE read costs. Unmapped pages are
-/// identity-mapped on first touch — the simulated OS demand-allocates,
-/// so a walk never faults.
-#[derive(Clone, Copy, Debug)]
-pub struct PageWalker {
-    latency_per_level: Cycle,
-}
-
 /// Outcome of one page-table walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Walk {
     /// The physical page number the walk resolved to.
     pub ppn: u64,
-    /// Cycles the walk took (levels × per-level latency).
+    /// Cycles the walk took (its chained PTE reads).
     pub cycles: Cycle,
     /// Radix levels traversed.
     pub levels: u32,
 }
 
-impl PageWalker {
-    /// A walker charging `latency_per_level` cycles per radix level.
-    pub fn new(latency_per_level: Cycle) -> Self {
-        PageWalker { latency_per_level }
-    }
-
-    /// The flat per-level latency this walker charges.
-    pub fn latency_per_level(&self) -> Cycle {
-        self.latency_per_level
-    }
-
-    /// Resolves `vaddr`'s page through `table`, identity-mapping it on
-    /// first touch, and returns the flat charged cost (levels x the
-    /// per-level latency).
-    pub fn walk(&self, table: &mut PageTable, vaddr: Addr) -> Walk {
-        let ppn = Self::resolve(table, vaddr);
-        Walk {
-            ppn,
-            cycles: Cycle::from(table.levels()) * self.latency_per_level,
-            levels: table.levels(),
-        }
-    }
-
-    /// Resolves `vaddr`'s page through `table`, reading each level's
-    /// page-table entry through `mem` starting at `now` — the reads
-    /// chain (a pointer chase), so the walk costs whatever the memory
-    /// hierarchy says. `core` identifies the walking core to `mem`.
-    pub fn walk_via(
-        &self,
-        table: &mut PageTable,
-        vaddr: Addr,
-        core: usize,
-        now: Cycle,
-        mem: &mut dyn WalkMemory,
-    ) -> Walk {
-        let ppn = Self::resolve(table, vaddr);
-        let (ptes, len) = table.pte_path(table.vpn(vaddr));
-        let mut t = now;
-        for pte in &ptes[..len] {
-            t = mem.pte_read(core, *pte, t);
-        }
-        Walk {
-            ppn,
-            cycles: t - now,
-            levels: table.levels(),
-        }
-    }
-
-    /// Resolves `vaddr`'s *huge* page through `table`,
-    /// identity-mapping it on first touch; the flat charged cost is one
-    /// level shallower than a base-page walk.
-    pub fn walk_huge(&self, table: &mut PageTable, vaddr: Addr) -> Walk {
-        let hppn = Self::resolve_huge(table, vaddr);
-        Walk {
-            ppn: hppn,
-            cycles: Cycle::from(table.levels_huge()) * self.latency_per_level,
-            levels: table.levels_huge(),
-        }
-    }
-
-    /// [`PageWalker::walk_via`] for a *huge* page: one fewer dependent
-    /// PTE read, the last being the huge leaf entry.
-    pub fn walk_via_huge(
-        &self,
-        table: &mut PageTable,
-        vaddr: Addr,
-        core: usize,
-        now: Cycle,
-        mem: &mut dyn WalkMemory,
-    ) -> Walk {
-        let hppn = Self::resolve_huge(table, vaddr);
-        let (ptes, len) = table.pte_path_huge(table.hvpn(vaddr));
-        let mut t = now;
-        for pte in &ptes[..len] {
-            t = mem.pte_read(core, *pte, t);
-        }
-        Walk {
-            ppn: hppn,
-            cycles: t - now,
-            levels: table.levels_huge(),
-        }
-    }
-
-    /// Functional half of a walk: the resolved PPN, identity-mapping
-    /// the page on first touch.
-    fn resolve(table: &mut PageTable, vaddr: Addr) -> u64 {
-        let vpn = table.vpn(vaddr);
-        match table.lookup(vpn) {
-            Some(p) => p,
-            None => {
-                table.map(vpn, vpn);
-                vpn
-            }
-        }
-    }
-
-    /// Functional half of a huge walk: the resolved huge PPN,
-    /// identity-mapping the huge page on first touch.
-    fn resolve_huge(table: &mut PageTable, vaddr: Addr) -> u64 {
-        let hvpn = table.hvpn(vaddr);
-        match table.lookup_huge(hvpn) {
-            Some(p) => p,
-            None => {
-                table.map_huge(hvpn, hvpn);
-                hvpn
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 4 KB base pages and their 2 MB huge pages.
+    const BASE: u32 = 12;
+    const HUGE: u32 = 21;
+
+    /// Walks `vaddr` at `shift` with a flat 25-cycle-per-level latency.
+    fn flat_walk(pt: &mut PageTable, vaddr: Addr, shift: u32) -> Walk {
+        pt.walk(vaddr, shift, 0, 0, &mut FlatWalkMemory(25))
+    }
 
     #[test]
     fn levels_shrink_with_page_size() {
@@ -483,10 +332,10 @@ mod tests {
     #[test]
     fn map_lookup_roundtrip_and_remap() {
         let mut pt = PageTable::new(4096);
-        assert!(pt.map(0x1234, 7));
-        assert!(!pt.map(0x1234, 8), "remap is not a fresh mapping");
-        assert_eq!(pt.lookup(0x1234), Some(8));
-        assert_eq!(pt.lookup(0x1235), None);
+        assert!(pt.map(0x1234, 7, BASE));
+        assert!(!pt.map(0x1234, 8, BASE), "remap is not a fresh mapping");
+        assert_eq!(pt.lookup(0x1234, BASE), Some(8));
+        assert_eq!(pt.lookup(0x1235, BASE), None);
         assert_eq!(pt.mapped_pages(), 1);
     }
 
@@ -496,34 +345,34 @@ mod tests {
         // Same low slot bits, different upper levels.
         let a = 0x0000_0000_0042u64;
         let b = 0x0000_0800_0042u64; // differs only above level-3 bits
-        pt.map(a, 1);
-        pt.map(b, 2);
-        assert_eq!(pt.lookup(a), Some(1));
-        assert_eq!(pt.lookup(b), Some(2));
+        pt.map(a, 1, BASE);
+        pt.map(b, 2, BASE);
+        assert_eq!(pt.lookup(a, BASE), Some(1));
+        assert_eq!(pt.lookup(b, BASE), Some(2));
     }
 
     #[test]
     fn pte_path_is_deterministic_and_shares_interior_lines() {
         let mut pt = PageTable::new(4096);
-        pt.map(0x42, 0x42);
-        let (path, len) = pt.pte_path(0x42);
+        pt.map(0x42, 0x42, BASE);
+        let (path, len) = pt.pte_path(0x42, BASE);
         assert_eq!(len, 4, "complete path after mapping");
         // The root read always sits in node 0's slab.
         assert!(path[0].raw() >= PT_BASE && path[0].raw() < PT_BASE + NODE_BYTES);
         // Re-walking yields the identical path.
-        assert_eq!(pt.pte_path(0x42), (path, len));
+        assert_eq!(pt.pte_path(0x42, BASE), (path, len));
         // A neighbouring VPN shares every interior node; only the leaf
         // slot differs (and by exactly one PTE).
-        pt.map(0x43, 0x43);
-        let (next, next_len) = pt.pte_path(0x43);
+        pt.map(0x43, 0x43, BASE);
+        let (next, next_len) = pt.pte_path(0x43, BASE);
         assert_eq!(next_len, 4);
         assert_eq!(&next[..3], &path[..3], "interior levels shared");
         assert_eq!(next[3].raw(), path[3].raw() + PTE_BYTES);
         // A distant VPN allocates fresh interior nodes at fresh ids; its
         // root read stays inside node 0's slab (different slot), and its
         // deeper reads land in other slabs.
-        pt.map(0x42 + (1 << 27), 1);
-        let (far, _) = pt.pte_path(0x42 + (1 << 27));
+        pt.map(0x42 + (1 << 27), 1, BASE);
+        let (far, _) = pt.pte_path(0x42 + (1 << 27), BASE);
         assert!(far[0].raw() >= PT_BASE && far[0].raw() < PT_BASE + NODE_BYTES);
         assert_ne!(far[0], path[0], "different root slot");
         assert!(far[1].raw() >= PT_BASE + NODE_BYTES, "fresh interior node");
@@ -532,8 +381,7 @@ mod tests {
     #[test]
     fn walk_via_chases_pte_reads_and_matches_flat_timing() {
         let mut pt = PageTable::new(4096);
-        let w = PageWalker::new(25);
-        // A recording memory: counts reads, charges 7 cycles each.
+        // A recording memory: logs reads, charges 7 cycles each.
         struct Recorder(Vec<(usize, Addr)>);
         impl WalkMemory for Recorder {
             fn pte_read(&mut self, core: usize, pte: Addr, now: Cycle) -> Cycle {
@@ -542,38 +390,38 @@ mod tests {
             }
         }
         let mut rec = Recorder(Vec::new());
-        let walk = w.walk_via(&mut pt, Addr::new(0x5000), 3, 100, &mut rec);
+        let walk = pt.walk(Addr::new(0x5000), BASE, 3, 100, &mut rec);
         assert_eq!(walk.ppn, 5, "first touch identity-maps");
         assert_eq!(walk.levels, 4);
         assert_eq!(walk.cycles, 4 * 7, "cost comes from the hook");
-        assert_eq!(rec.0.len(), 4);
         assert!(rec.0.iter().all(|(c, _)| *c == 3));
-        // FlatWalkMemory reproduces the flat model exactly.
-        let flat = w.walk_via(&mut pt, Addr::new(0x9000), 0, 0, &mut FlatWalkMemory(25));
-        assert_eq!(flat.cycles, w.walk(&mut pt, Addr::new(0xA000)).cycles);
+        let read: Vec<Addr> = rec.0.iter().map(|&(_, pte)| pte).collect();
+        let (path, len) = pt.pte_path(5, BASE);
+        assert_eq!(read, &path[..len], "one read per level, in chase order");
+        // FlatWalkMemory charges levels x the per-level latency, for a
+        // cold page and a mapped one alike.
+        assert_eq!(flat_walk(&mut pt, Addr::new(0x9000), BASE).cycles, 4 * 25);
+        assert_eq!(flat_walk(&mut pt, Addr::new(0x9000), BASE).cycles, 4 * 25);
     }
 
     #[test]
     fn huge_leaves_sit_one_level_up_and_share_interiors() {
         let mut pt = PageTable::new(4096);
-        assert!(pt.supports_huge());
-        assert_eq!(pt.huge_page_bytes(), 2 * 1024 * 1024);
-        assert_eq!(pt.levels_huge(), 3);
 
         // Map the huge page covering base VPNs [0x200, 0x400) and a
         // base page just below it: interior nodes are shared.
-        assert!(pt.map_huge(1, 1));
-        assert!(!pt.map_huge(1, 1), "remap is not fresh");
-        pt.map(0x1ff, 0x1ff);
-        assert_eq!(pt.lookup_huge(1), Some(1));
+        assert!(pt.map(1, 1, HUGE));
+        assert!(!pt.map(1, 1, HUGE), "remap is not fresh");
+        pt.map(0x1ff, 0x1ff, BASE);
+        assert_eq!(pt.lookup(1, HUGE), Some(1));
         assert_eq!(pt.mapped_huge_pages(), 1);
         assert_eq!(pt.mapped_pages(), 1, "huge leaves are ledgered apart");
         // The huge mapping does not shadow base lookups (the simulator
         // classifies an address to exactly one size before asking).
-        assert_eq!(pt.lookup(0x200), None);
+        assert_eq!(pt.lookup(0x200, BASE), None);
 
-        let (hpath, hlen) = pt.pte_path_huge(1);
-        let (bpath, blen) = pt.pte_path(0x1ff);
+        let (hpath, hlen) = pt.pte_path(1, HUGE);
+        let (bpath, blen) = pt.pte_path(0x1ff, BASE);
         assert_eq!(hlen, 3, "one fewer PTE read than a base walk");
         assert_eq!(blen, 4);
         assert_eq!(&hpath[..2], &bpath[..2], "interior levels shared");
@@ -581,26 +429,27 @@ mod tests {
         // A 2-level geometry still holds huge leaves in the root.
         let mut shallow = PageTable::new(1 << 30);
         assert_eq!(shallow.levels(), 2);
-        assert!(shallow.supports_huge());
-        assert!(shallow.map_huge(3, 3));
-        assert_eq!(shallow.lookup_huge(3), Some(3));
-        assert_eq!(shallow.pte_path_huge(3).1, 1);
+        assert!(shallow.map(3, 3, 39));
+        assert_eq!(shallow.lookup(3, 39), Some(3));
+        assert_eq!(shallow.pte_path(3, 39).1, 1);
+    }
 
-        // A 1-level geometry cannot.
-        assert!(!PageTable::new(1 << 40).supports_huge());
+    #[test]
+    #[should_panic(expected = "has no leaf level")]
+    fn a_one_level_table_has_no_room_for_huge_leaves() {
+        PageTable::new(1 << 40).map(0, 0, 49);
     }
 
     #[test]
     fn huge_walks_are_one_level_shallower() {
         let mut pt = PageTable::new(4096);
-        let w = PageWalker::new(25);
         let a = Addr::new(5 * 2 * 1024 * 1024 + 0x1234);
-        let walk = w.walk_huge(&mut pt, a);
+        let walk = flat_walk(&mut pt, a, HUGE);
         assert_eq!(walk.levels, 3);
         assert_eq!(walk.cycles, 3 * 25);
         assert_eq!(walk.ppn, 5, "first touch identity-maps the huge page");
-        assert_eq!(pt.lookup_huge(5), Some(5));
-        // The cached-walk variant reads exactly levels_huge PTEs.
+        assert_eq!(pt.lookup(5, HUGE), Some(5));
+        // A cached walk reads exactly one PTE per huge level.
         struct Counter(u64);
         impl WalkMemory for Counter {
             fn pte_read(&mut self, _c: usize, _p: Addr, now: Cycle) -> Cycle {
@@ -609,7 +458,7 @@ mod tests {
             }
         }
         let mut counter = Counter(0);
-        let via = w.walk_via_huge(&mut pt, a, 0, 100, &mut counter);
+        let via = pt.walk(a, HUGE, 0, 100, &mut counter);
         assert_eq!(counter.0, 3);
         assert_eq!(via.cycles, 3 * 7);
         assert_eq!(via.ppn, 5);
@@ -618,14 +467,14 @@ mod tests {
     #[test]
     fn walker_charges_per_level_and_identity_maps() {
         let mut pt = PageTable::new(4096);
-        let w = PageWalker::new(25);
-        let walk = w.walk(&mut pt, Addr::new(0x5000));
+        let walk = flat_walk(&mut pt, Addr::new(0x5000), BASE);
         assert_eq!(walk.cycles, 100);
         assert_eq!(walk.levels, 4);
         assert_eq!(walk.ppn, 5, "first touch identity-maps");
-        assert_eq!(pt.lookup(5), Some(5));
+        assert_eq!(pt.lookup(5, BASE), Some(5));
         // A pre-existing (non-identity) mapping is respected.
-        pt.map(9, 42);
-        assert_eq!(w.walk(&mut pt, Addr::new(9 * 4096)).ppn, 42);
+        pt.map(9, 42, BASE);
+        assert_eq!(flat_walk(&mut pt, Addr::new(9 * 4096), BASE).ppn, 42);
+        assert_eq!(pt.mapped_pages(), 2);
     }
 }

@@ -28,27 +28,23 @@ const INVALID: Entry = Entry {
 
 /// A set-associative LRU TLB caching page translations.
 ///
-/// Addresses are split at the configured page size: the virtual page
-/// number indexes a set (modulo), and a full-VPN tag match within the
-/// set is a hit. Replacement is true LRU per set, tracked with a
-/// monotonic use stamp. Hit/miss/eviction/cold-fill counters accumulate
-/// into an [`imp_common::TlbStats`] owned by the TLB.
-///
-/// Entries are *size-tagged*: the `_sized` methods look up and install
-/// translations at an explicit page shift, so one structure can serve
-/// as a unified mixed-size TLB (the shared L2 TLB caches 4 KB and 2 MB
-/// translations side by side, x86 STLB-style). The unsized methods use
-/// the construction-time page size and are bit-identical to the
-/// pre-mixed-size TLB when only one size is ever in play.
+/// Every operation takes the page `shift` it translates at: the virtual
+/// page number (`vaddr >> shift`) indexes a set (modulo), and a full-VPN
+/// tag match within the set is a hit. Entries are *size-tagged*, so one
+/// structure can cache translations of several page sizes side by side
+/// without ever cross-matching (the shared L2 TLB holds 4 KB and 2 MB
+/// entries, x86 STLB-style). Replacement is true LRU per set, tracked
+/// with a monotonic use stamp. Hit/miss/eviction/cold-fill counters
+/// accumulate into an [`imp_common::TlbStats`] owned by the TLB.
 ///
 /// ```
 /// use imp_vm::Tlb;
 /// use imp_common::Addr;
 ///
-/// let mut tlb = Tlb::new(2, 2, 4096);
-/// assert_eq!(tlb.lookup(Addr::new(0x1234)), None); // cold miss
-/// tlb.fill(Addr::new(0x1234), 0x7); // VPN 1 -> PPN 7
-/// assert_eq!(tlb.lookup(Addr::new(0x1FFF)), Some(Addr::new(0x7FFF)));
+/// let mut tlb = Tlb::new(2, 2);
+/// assert_eq!(tlb.lookup(Addr::new(0x1234), 12), None); // cold miss
+/// tlb.fill(Addr::new(0x1234), 0x7, 12); // 4 KB VPN 1 -> PPN 7
+/// assert_eq!(tlb.lookup(Addr::new(0x1FFF), 12), Some(Addr::new(0x7FFF)));
 /// assert_eq!(tlb.stats().hits, 1);
 /// ```
 #[derive(Clone, Debug)]
@@ -59,44 +55,27 @@ pub struct Tlb {
     entries: Vec<Entry>,
     num_sets: usize,
     ways: usize,
-    page_shift: u32,
     next_stamp: u64,
     stats: TlbStats,
 }
 
 impl Tlb {
-    /// Creates a TLB with `sets` sets of `ways` ways for `page_bytes`
-    /// pages.
+    /// Creates a TLB with `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or if `page_bytes` is not a
-    /// power of two (validate with [`crate::validate_config`] first when
-    /// the values come from user configuration).
-    pub fn new(sets: u32, ways: u32, page_bytes: u64) -> Self {
+    /// Panics if `sets` or `ways` is zero (validate with
+    /// [`crate::validate_config`] first when the values come from user
+    /// configuration).
+    pub fn new(sets: u32, ways: u32) -> Self {
         assert!(sets > 0 && ways > 0, "TLB needs at least one entry");
-        assert!(
-            page_bytes.is_power_of_two(),
-            "page size must be a power of two"
-        );
         Tlb {
             entries: vec![INVALID; sets as usize * ways as usize],
             num_sets: sets as usize,
             ways: ways as usize,
-            page_shift: page_bytes.trailing_zeros(),
             next_stamp: 1,
             stats: TlbStats::default(),
         }
-    }
-
-    /// The page size this TLB translates at.
-    pub fn page_bytes(&self) -> u64 {
-        1u64 << self.page_shift
-    }
-
-    /// Virtual page number of `vaddr`.
-    pub fn vpn(&self, vaddr: Addr) -> u64 {
-        vaddr.raw() >> self.page_shift
     }
 
     /// Start of `vpn`'s set in the flat entry array.
@@ -119,15 +98,10 @@ impl Tlb {
         &mut self.entries[base..base + self.ways]
     }
 
-    /// Looks `vaddr` up at the default page size, updating LRU order
-    /// and hit/miss counters. Returns the translated physical address
-    /// on a hit.
-    pub fn lookup(&mut self, vaddr: Addr) -> Option<Addr> {
-        self.lookup_sized(vaddr, self.page_shift)
-    }
-
-    /// [`Tlb::lookup`] at an explicit page shift.
-    pub fn lookup_sized(&mut self, vaddr: Addr, shift: u32) -> Option<Addr> {
+    /// Looks `vaddr` up at page `shift`, updating LRU order and
+    /// hit/miss counters. Returns the translated physical address on a
+    /// hit.
+    pub fn lookup(&mut self, vaddr: Addr, shift: u32) -> Option<Addr> {
         match self.probe_update(vaddr, shift) {
             Some(p) => {
                 self.stats.hits += 1;
@@ -140,15 +114,10 @@ impl Tlb {
         }
     }
 
-    /// Looks `vaddr` up for a prefetch at the default page size,
-    /// updating LRU order and the prefetch-hit counter on a hit (misses
-    /// are counted by the caller according to its translation policy).
-    pub fn prefetch_lookup(&mut self, vaddr: Addr) -> Option<Addr> {
-        self.prefetch_lookup_sized(vaddr, self.page_shift)
-    }
-
-    /// [`Tlb::prefetch_lookup`] at an explicit page shift.
-    pub fn prefetch_lookup_sized(&mut self, vaddr: Addr, shift: u32) -> Option<Addr> {
+    /// Looks `vaddr` up for a prefetch at page `shift`, updating LRU
+    /// order and the prefetch-hit counter on a hit (misses are counted
+    /// by the caller according to its translation policy).
+    pub fn prefetch_lookup(&mut self, vaddr: Addr, shift: u32) -> Option<Addr> {
         let hit = self.probe_update(vaddr, shift);
         if hit.is_some() {
             self.stats.prefetch_hits += 1;
@@ -175,29 +144,19 @@ impl Tlb {
         ppn.map(|p| crate::splice_ppn(vaddr, p, shift))
     }
 
-    /// True if `vaddr`'s page is resident at the default page size (no
-    /// LRU update, no counters).
-    pub fn contains(&self, vaddr: Addr) -> bool {
-        self.contains_sized(vaddr, self.page_shift)
-    }
-
-    /// [`Tlb::contains`] at an explicit page shift.
-    pub fn contains_sized(&self, vaddr: Addr, shift: u32) -> bool {
+    /// True if `vaddr`'s page is resident at page `shift` (no LRU
+    /// update, no counters).
+    pub fn contains(&self, vaddr: Addr, shift: u32) -> bool {
         let vpn = vaddr.raw() >> shift;
         self.set_slice(vpn)
             .iter()
             .any(|e| e.valid && e.vpn == vpn && e.shift == shift)
     }
 
-    /// Installs the mapping `vaddr`'s page → `ppn` at the default page
-    /// size, evicting the LRU way when the set is full. Returns the
-    /// evicted VPN, if any.
-    pub fn fill(&mut self, vaddr: Addr, ppn: u64) -> Option<u64> {
-        self.fill_sized(vaddr, ppn, self.page_shift)
-    }
-
-    /// [`Tlb::fill`] at an explicit page shift.
-    pub fn fill_sized(&mut self, vaddr: Addr, ppn: u64, shift: u32) -> Option<u64> {
+    /// Installs the mapping `vaddr`'s page → `ppn` at page `shift`,
+    /// evicting the LRU way when the set is full. Returns the evicted
+    /// VPN, if any.
+    pub fn fill(&mut self, vaddr: Addr, ppn: u64, shift: u32) -> Option<u64> {
         let vpn = vaddr.raw() >> shift;
         let stamp = self.next_stamp;
         self.next_stamp += 1;
@@ -246,11 +205,6 @@ impl Tlb {
         entries.iter().map(|e| e.vpn).collect()
     }
 
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.num_sets
-    }
-
     /// The counters accumulated so far.
     pub fn stats(&self) -> &TlbStats {
         &self.stats
@@ -267,17 +221,20 @@ impl Tlb {
 mod tests {
     use super::*;
 
+    /// 4 KB pages.
+    const S: u32 = 12;
+
     fn page(n: u64) -> Addr {
-        Addr::new(n * 4096)
+        Addr::new(n << S)
     }
 
     #[test]
     fn hit_after_fill_and_offset_preserved() {
-        let mut t = Tlb::new(4, 2, 4096);
-        assert_eq!(t.lookup(page(5)), None);
-        t.fill(page(5), 9);
+        let mut t = Tlb::new(4, 2);
+        assert_eq!(t.lookup(page(5), S), None);
+        t.fill(page(5), 9, S);
         assert_eq!(
-            t.lookup(Addr::new(5 * 4096 + 0x123)),
+            t.lookup(Addr::new(5 * 4096 + 0x123), S),
             Some(Addr::new(9 * 4096 + 0x123))
         );
         assert_eq!(t.stats().hits, 1);
@@ -288,46 +245,47 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_way() {
         // One set, two ways: fill A, B; touch A; filling C must evict B.
-        let mut t = Tlb::new(1, 2, 4096);
-        t.fill(page(1), 1);
-        t.fill(page(2), 2);
-        assert!(t.lookup(page(1)).is_some());
-        let evicted = t.fill(page(3), 3);
+        let mut t = Tlb::new(1, 2);
+        t.fill(page(1), 1, S);
+        t.fill(page(2), 2, S);
+        assert!(t.lookup(page(1), S).is_some());
+        let evicted = t.fill(page(3), 3, S);
         assert_eq!(evicted, Some(2));
-        assert!(t.contains(page(1)));
-        assert!(!t.contains(page(2)));
+        assert!(t.contains(page(1), S));
+        assert!(!t.contains(page(2), S));
         assert_eq!(t.set_contents(0), vec![3, 1]);
         assert_eq!(t.stats().evictions, 1);
     }
 
     #[test]
     fn sets_are_indexed_modulo_vpn() {
-        let mut t = Tlb::new(4, 1, 4096);
-        t.fill(page(0), 0);
-        t.fill(page(4), 4); // same set as VPN 0: evicts it
-        t.fill(page(1), 1); // different set: untouched
-        assert!(!t.contains(page(0)));
-        assert!(t.contains(page(4)));
-        assert!(t.contains(page(1)));
+        let mut t = Tlb::new(4, 1);
+        t.fill(page(0), 0, S);
+        t.fill(page(4), 4, S); // same set as VPN 0: evicts it
+        t.fill(page(1), 1, S); // different set: untouched
+        assert!(!t.contains(page(0), S));
+        assert!(t.contains(page(4), S));
+        assert!(t.contains(page(1), S));
     }
 
     #[test]
     fn refill_of_resident_page_does_not_evict() {
-        let mut t = Tlb::new(1, 1, 4096);
-        t.fill(page(7), 7);
-        assert_eq!(t.fill(page(7), 8), None);
-        assert_eq!(t.lookup(page(7)), Some(Addr::new(8 * 4096)));
+        let mut t = Tlb::new(1, 1);
+        t.fill(page(7), 7, S);
+        assert_eq!(t.fill(page(7), 8, S), None);
+        assert_eq!(t.lookup(page(7), S), Some(Addr::new(8 * 4096)));
         assert_eq!(t.stats().evictions, 0);
         assert_eq!(t.stats().cold_fills, 1);
     }
 
     #[test]
     fn page_size_controls_vpn_split() {
-        let mut t = Tlb::new(2, 2, 64 * 1024);
-        t.fill(Addr::new(0), 0);
+        let mut t = Tlb::new(2, 2);
+        let s64k = 16;
+        t.fill(Addr::new(0), 0, s64k);
         // Any address in the same 64 KB page hits.
-        assert!(t.lookup(Addr::new(60_000)).is_some());
-        assert!(t.lookup(Addr::new(70_000)).is_none());
+        assert!(t.lookup(Addr::new(60_000), s64k).is_some());
+        assert!(t.lookup(Addr::new(70_000), s64k).is_none());
     }
 
     #[test]
@@ -335,34 +293,47 @@ mod tests {
         // A unified TLB holding 4 KB and 2 MB entries: the same address
         // looked up at the other size is a miss, and each size splices
         // its own offset width.
-        let mut t = Tlb::new(2, 2, 4096);
+        let mut t = Tlb::new(2, 2);
         let (s4k, s2m) = (12, 21);
         let a = Addr::new(5 << s2m); // 2 MB-aligned, also a 4 KB page base
-        t.fill_sized(a, 5, s2m);
-        assert!(t.contains_sized(a, s2m));
-        assert!(!t.contains_sized(a, s4k), "sizes tag-match separately");
-        assert_eq!(
-            t.lookup_sized(a.offset(0x1_2345), s2m),
-            Some(a.offset(0x1_2345))
-        );
-        assert_eq!(t.lookup_sized(a, s4k), None);
-        t.fill_sized(a, 99, s4k);
+        t.fill(a, 5, s2m);
+        assert!(t.contains(a, s2m));
+        assert!(!t.contains(a, s4k), "sizes tag-match separately");
+        assert_eq!(t.lookup(a.offset(0x1_2345), s2m), Some(a.offset(0x1_2345)));
+        assert_eq!(t.lookup(a, s4k), None);
+        t.fill(a, 99, s4k);
         // Both entries coexist; the 4 KB one translates only its page.
         assert_eq!(
-            t.lookup_sized(a.offset(0x123), s4k),
+            t.lookup(a.offset(0x123), s4k),
             Some(Addr::new((99 << s4k) + 0x123))
         );
-        assert!(t.contains_sized(a, s2m));
+        assert!(t.contains(a, s2m));
     }
 
     #[test]
     fn prefetch_lookup_counts_separately() {
-        let mut t = Tlb::new(1, 1, 4096);
-        t.fill(page(1), 1);
-        assert!(t.prefetch_lookup(page(1)).is_some());
-        assert!(t.prefetch_lookup(page(2)).is_none());
+        let mut t = Tlb::new(1, 1);
+        t.fill(page(1), 1, S);
+        assert!(t.prefetch_lookup(page(1), S).is_some());
+        assert!(t.prefetch_lookup(page(2), S).is_none());
         assert_eq!(t.stats().prefetch_hits, 1);
         assert_eq!(t.stats().hits, 0, "prefetch probes are not demand hits");
         assert_eq!(t.stats().misses, 0, "policy decides how misses count");
+    }
+
+    #[test]
+    fn demand_and_prefetch_paths_count_separately() {
+        // The shared L2 TLB's ledger: demand lookups count hits and
+        // misses, prefetch probes only their own hits.
+        let mut l2 = Tlb::new(2, 2);
+        assert_eq!(l2.lookup(page(1), S), None);
+        l2.fill(page(1), 1, S);
+        assert!(l2.lookup(page(1), S).is_some());
+        assert!(l2.prefetch_lookup(page(1), S).is_some());
+        assert_eq!(l2.prefetch_lookup(page(9), S), None);
+        let s = l2.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(s.prefetch_hits, 1, "prefetch probes have their own counter");
+        assert_eq!(s.cold_fills, 1);
     }
 }

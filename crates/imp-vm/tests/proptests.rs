@@ -1,11 +1,15 @@
 //! Property tests for the virtual-memory subsystem: TLB LRU order,
-//! translate∘map round-trips, and the eviction/miss/cold-fill ledger.
+//! translate∘map round-trips, the single-descent page walk against a
+//! reference model, and the eviction/miss/cold-fill ledger.
 
-use imp_common::{Addr, TlbConfig};
-use imp_vm::{FlatWalkMemory, PagePlacement, PageTable, PageWalker, Tlb, Vm};
+use imp_common::{Addr, Cycle, TlbConfig};
+use imp_vm::{
+    FlatWalkMemory, PagePlacement, PageTable, Tlb, TranslationSource, Vm, Walk, WalkMemory,
+    ADDRESS_BITS, LEVEL_BITS, NODE_BYTES, PTE_BYTES, PT_BASE,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Reference LRU model: a recency list per set, most recent first.
 #[derive(Default)]
@@ -23,7 +27,167 @@ impl ModelSet {
     }
 }
 
+/// Reference model of a page walk as three separate table operations —
+/// look the page up, identity-map it on a miss, then read its PTE path
+/// — over a radix tree kept apart from `PageTable`: nodes are ids
+/// handed out in creation order, edges and leaves are keyed by
+/// `(node id, slot)`, and huge leaves sit one level up in a map of
+/// their own.
+struct RadixModel {
+    /// Depth of a base-page walk.
+    levels: u32,
+    next_id: u64,
+    tables: HashMap<(u64, u32), u64>,
+    /// Leaves by size: `[base, huge]`.
+    leaves: [HashMap<(u64, u32), u64>; 2],
+    mapped: [u64; 2],
+}
+
+impl RadixModel {
+    fn new(base_shift: u32) -> Self {
+        RadixModel {
+            levels: (ADDRESS_BITS - base_shift).div_ceil(LEVEL_BITS),
+            next_id: 1,
+            tables: HashMap::new(),
+            leaves: [HashMap::new(), HashMap::new()],
+            mapped: [0; 2],
+        }
+    }
+
+    fn depth(&self, huge: bool) -> u32 {
+        self.levels - u32::from(huge)
+    }
+
+    /// The radix slots of `vpn`, root first.
+    fn slots(&self, vpn: u64, huge: bool) -> Vec<u32> {
+        let depth = self.depth(huge);
+        (0..depth)
+            .map(|l| ((vpn >> ((depth - 1 - l) * LEVEL_BITS)) & 511) as u32)
+            .collect()
+    }
+
+    fn lookup(&self, vpn: u64, huge: bool) -> Option<u64> {
+        let slots = self.slots(vpn, huge);
+        let (leaf, interior) = slots.split_last().unwrap();
+        let mut node = 0;
+        for &slot in interior {
+            node = *self.tables.get(&(node, slot))?;
+        }
+        self.leaves[usize::from(huge)].get(&(node, *leaf)).copied()
+    }
+
+    fn map(&mut self, vpn: u64, ppn: u64, huge: bool) -> bool {
+        let slots = self.slots(vpn, huge);
+        let (leaf, interior) = slots.split_last().unwrap();
+        let mut node = 0;
+        for &slot in interior {
+            node = *self.tables.entry((node, slot)).or_insert_with(|| {
+                self.next_id += 1;
+                self.next_id - 1
+            });
+        }
+        let fresh = self.leaves[usize::from(huge)]
+            .insert((node, *leaf), ppn)
+            .is_none();
+        self.mapped[usize::from(huge)] += u64::from(fresh);
+        fresh
+    }
+
+    fn pte_path(&self, vpn: u64, huge: bool) -> Vec<Addr> {
+        let slots = self.slots(vpn, huge);
+        let mut path = Vec::new();
+        let mut node = 0;
+        for (l, &slot) in slots.iter().enumerate() {
+            path.push(Addr::new(
+                PT_BASE + node * NODE_BYTES + u64::from(slot) * PTE_BYTES,
+            ));
+            if l + 1 < slots.len() {
+                match self.tables.get(&(node, slot)) {
+                    Some(&next) => node = next,
+                    None => break,
+                }
+            }
+        }
+        path
+    }
+}
+
+/// A PTE read's latency: varies with the address, so a walk's cycles
+/// pin which entries it read and that the reads chain.
+fn pte_latency(pte: Addr) -> Cycle {
+    1 + pte.raw() % 7
+}
+
+/// A [`WalkMemory`] logging every read as `(core, pte, issue cycle)`.
+struct Recording(Vec<(usize, Addr, Cycle)>);
+
+impl WalkMemory for Recording {
+    fn pte_read(&mut self, core: usize, pte: Addr, now: Cycle) -> Cycle {
+        self.0.push((core, pte, now));
+        now + pte_latency(pte)
+    }
+}
+
 proptest! {
+    /// `PageTable::walk` — one descent that maps on first touch and
+    /// reads as it goes — matches the reference model's
+    /// lookup / map-on-miss / `pte_path` sequence read for read: the
+    /// same PTE addresses in the same order, issued back to back, the
+    /// same `Walk`, and the same mapped-page counts, over mixed
+    /// base/huge address strings, base page shifts 12–21, and pages
+    /// pre-mapped to non-identity frames.
+    #[test]
+    fn single_descent_walk_matches_the_reference_model(
+        base_shift in 12u32..22,
+        script in vec((0u64..4, 0u64..64, 0u64..2, 0u64..4, 0u64..(1 << 30)), 1..120),
+    ) {
+        let mut table = PageTable::new(1 << base_shift);
+        let mut model = RadixModel::new(base_shift);
+        let mut now = 0;
+        for (region, page, huge, premap, offset) in script {
+            let huge = huge == 1;
+            let shift = base_shift + if huge { LEVEL_BITS } else { 0 };
+            // Four far-apart regions of a few dozen pages each: walks
+            // share interior nodes within a region and across sizes,
+            // and start fresh subtrees across regions.
+            let vaddr = Addr::new((region << 40) | (page << shift) | (offset & ((1 << shift) - 1)));
+            let vpn = vaddr.raw() >> shift;
+            if premap == 0 {
+                let frame = vpn ^ 0x5a5;
+                prop_assert_eq!(table.map(vpn, frame, shift), model.map(vpn, frame, huge));
+            }
+            let ppn = match model.lookup(vpn, huge) {
+                Some(ppn) => ppn,
+                None => {
+                    model.map(vpn, vpn, huge);
+                    vpn
+                }
+            };
+            let path = model.pte_path(vpn, huge);
+            let done = path.iter().fold(now, |t, &pte| t + pte_latency(pte));
+            let want = Walk { ppn, cycles: done - now, levels: model.depth(huge) };
+
+            let mut mem = Recording(Vec::new());
+            prop_assert_eq!(table.walk(vaddr, shift, 3, now, &mut mem), want);
+            let reads: Vec<Addr> = mem.0.iter().map(|&(_, pte, _)| pte).collect();
+            prop_assert_eq!(&reads, &path);
+            // Each read issues on behalf of the walking core the cycle
+            // the previous one returned.
+            let mut t = now;
+            for &(core, pte, issued) in &mem.0 {
+                prop_assert_eq!((core, issued), (3, t));
+                t += pte_latency(pte);
+            }
+            prop_assert_eq!(table.mapped_pages(), model.mapped[0]);
+            prop_assert_eq!(table.mapped_huge_pages(), model.mapped[1]);
+            // The table's own primitives agree with the model too.
+            prop_assert_eq!(table.lookup(vpn, shift), Some(ppn));
+            let (ptes, len) = table.pte_path(vpn, shift);
+            prop_assert_eq!(&ptes[..len], &path[..]);
+            now = done;
+        }
+    }
+
     /// Under an arbitrary access string, every set's residents match a
     /// reference recency-list model exactly — LRU order is preserved by
     /// hits, fills and evictions alike.
@@ -34,15 +198,15 @@ proptest! {
     ) {
         let sets = 4u32;
         let page = 4096u64;
-        let mut tlb = Tlb::new(sets, ways, page);
+        let mut tlb = Tlb::new(sets, ways);
         let mut model: Vec<ModelSet> = (0..sets).map(|_| ModelSet::default()).collect();
         for (vpn, reuse_offset) in accesses {
             // Mix page-base and mid-page addresses: both must behave
             // identically at the VPN level.
             let offset = if reuse_offset == 1 { page / 2 } else { 0 };
             let vaddr = Addr::new(vpn * page + offset);
-            if tlb.lookup(vaddr).is_none() {
-                tlb.fill(vaddr, vpn);
+            if tlb.lookup(vaddr, 12).is_none() {
+                tlb.fill(vaddr, vpn, 12);
             }
             model[(vpn % u64::from(sets)) as usize].touch(vpn, ways as usize);
         }
@@ -66,7 +230,7 @@ proptest! {
         #[derive(Clone, Copy)]
         struct E { vpn: u64, ppn: u64, shift: u32, stamp: u64, valid: bool }
         let sets = 4u32;
-        let mut tlb = Tlb::new(sets, ways, 4096);
+        let mut tlb = Tlb::new(sets, ways);
         let mut model: Vec<Vec<E>> = (0..sets)
             .map(|_| vec![E { vpn: 0, ppn: 0, shift: 0, stamp: 0, valid: false }; ways as usize])
             .collect();
@@ -84,7 +248,7 @@ proptest! {
                 .find(|e| e.valid && e.vpn == vpn && e.shift == shift)
                 .map(|e| { e.stamp = next_stamp; e.ppn });
             if model_hit.is_some() { next_stamp += 1; hits += 1; } else { misses += 1; }
-            let got = tlb.lookup_sized(vaddr, shift);
+            let got = tlb.lookup(vaddr, shift);
             prop_assert_eq!(got.map(|a| a.raw() >> shift), model_hit);
             if got.is_none() {
                 // Model fill: refresh if resident, else replace the
@@ -98,7 +262,7 @@ proptest! {
                 let evicted = victim.valid.then_some(victim.vpn);
                 if evicted.is_some() { evictions += 1; } else { cold += 1; }
                 *victim = E { vpn, ppn: vpn + 7, shift, stamp, valid: true };
-                prop_assert_eq!(tlb.fill_sized(vaddr, vpn + 7, shift), evicted);
+                prop_assert_eq!(tlb.fill(vaddr, vpn + 7, shift), evicted);
             }
         }
         prop_assert_eq!(tlb.stats().hits, hits);
@@ -125,9 +289,8 @@ proptest! {
     ) {
         let page = 1u64 << page_shift;
         let mut table = PageTable::new(page);
-        let walker = PageWalker::new(25);
         for &(vpn, ppn) in &mappings {
-            table.map(vpn, ppn);
+            table.map(vpn, ppn, page_shift);
         }
         // Later mappings win on duplicate VPNs, exactly like a map.
         let mut last: Vec<(u64, u64)> = Vec::new();
@@ -136,9 +299,9 @@ proptest! {
             last.push((vpn, ppn));
         }
         for (vpn, ppn) in last {
-            prop_assert_eq!(table.lookup(vpn), Some(ppn));
+            prop_assert_eq!(table.lookup(vpn, page_shift), Some(ppn));
             let vaddr = Addr::new(vpn * page + offset % page);
-            let walk = walker.walk(&mut table, vaddr);
+            let walk = table.walk(vaddr, page_shift, 0, 0, &mut FlatWalkMemory(25));
             prop_assert_eq!(walk.ppn, ppn);
             prop_assert_eq!(walk.cycles, 25 * u64::from(table.levels()));
         }
@@ -153,11 +316,11 @@ proptest! {
         sets in 1u32..5,
         ways in 1u32..5,
     ) {
-        let mut tlb = Tlb::new(sets, ways, 4096);
+        let mut tlb = Tlb::new(sets, ways);
         for vpn in vpns {
             let vaddr = Addr::new(vpn * 4096);
-            if tlb.lookup(vaddr).is_none() {
-                tlb.fill(vaddr, vpn);
+            if tlb.lookup(vaddr, 12).is_none() {
+                tlb.fill(vaddr, vpn, 12);
             }
         }
         let s = tlb.stats().clone();
@@ -251,10 +414,16 @@ proptest! {
             prop_assert_eq!(t.paddr, vaddr);
             if page * huge / 2 >= huge_range_pages * huge {
                 expected.1 += 1;
-                prop_assert!(t.walk_levels == 0 || t.walk_levels == 3);
+                prop_assert!(matches!(
+                    t.source,
+                    TranslationSource::DTlbHit | TranslationSource::Walk { levels: 3 }
+                ));
             } else {
                 expected.0 += 1;
-                prop_assert!(t.walk_levels == 0 || t.walk_levels == 4);
+                prop_assert!(matches!(
+                    t.source,
+                    TranslationSource::DTlbHit | TranslationSource::Walk { levels: 4 }
+                ));
             }
         }
         let base = vm.stats(0).clone();

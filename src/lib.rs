@@ -145,7 +145,7 @@ pub mod prelude {
     pub use imp_sim::System;
     pub use imp_store::{cell_digest, digest_hex, ResultStore, StoredResult};
     pub use imp_trace::{Op, Program, TraceFile};
-    pub use imp_vm::{L2Tlb, PagePlacement, PageTable, PageWalker, Tlb, Vm, WalkMemory};
+    pub use imp_vm::{PagePlacement, PageTable, Tlb, Vm, WalkMemory};
     pub use imp_workloads::{
         by_name, paper_workloads, BuiltArtifact, Scale, Workload, WorkloadParams,
     };
