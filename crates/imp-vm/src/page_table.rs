@@ -95,7 +95,8 @@ fn descend<'a>(
 /// real hardware. Every operation takes the page `shift` it works at:
 /// the base page shift, or the huge page shift one radix level above it
 /// (`base + LEVEL_BITS`), whose leaves sit one level up in their own
-/// map and are counted apart.
+/// map and are counted apart. A shift whose walk depth is neither
+/// `levels()` nor one less panics.
 ///
 /// ```
 /// use imp_vm::PageTable;
