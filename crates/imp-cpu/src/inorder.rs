@@ -4,9 +4,9 @@
 
 use crate::{CoreBlock, CoreEngine, MemPort, MemResult, EPISODE_BUDGET};
 use imp_common::stats::{AccessClass, CoreStats};
-use imp_common::{Addr, Cycle, LineAddr, Pc};
+use imp_common::{Cycle, LineAddr, Pc};
 use imp_obs::CoreProbe;
-use imp_trace::{Op, OpKind, OpLanes};
+use imp_trace::{Op, OpKind};
 use std::sync::Arc;
 
 #[derive(Clone, Copy, Debug)]
@@ -21,7 +21,7 @@ struct PendingMem {
 #[derive(Debug)]
 pub struct InOrderCore {
     id: u32,
-    lanes: Arc<OpLanes>,
+    ops: Arc<[Op]>,
     idx: usize,
     pending: Option<PendingMem>,
     stats: CoreStats,
@@ -29,21 +29,13 @@ pub struct InOrderCore {
 }
 
 impl InOrderCore {
-    /// Creates a core with id `id` running `ops`, decoding the stream
-    /// into struct-of-arrays lanes. Prefer [`InOrderCore::from_lanes`]
-    /// when a shared decoding already exists (e.g. from
-    /// [`imp_trace::Program::lanes`]).
+    /// Creates a core with id `id` running `ops`. A shared stream (e.g.
+    /// from [`imp_trace::Program::stream`]) is not copied: handing the
+    /// same `Arc<[Op]>` to many systems costs a reference count each.
     pub fn new(id: u32, ops: impl Into<Arc<[Op]>>) -> Self {
-        Self::from_lanes(id, Arc::new(OpLanes::from_ops(&ops.into())))
-    }
-
-    /// Creates a core running a shared lane decoding. The lanes are
-    /// shared, not copied: passing the same `Arc<OpLanes>` to many cores
-    /// (or many systems) costs a reference count per core.
-    pub fn from_lanes(id: u32, lanes: Arc<OpLanes>) -> Self {
         InOrderCore {
             id,
-            lanes,
+            ops: ops.into(),
             idx: 0,
             pending: None,
             stats: CoreStats::default(),
@@ -53,10 +45,10 @@ impl InOrderCore {
 
     /// Fraction of the op stream already executed (diagnostics).
     pub fn progress(&self) -> f64 {
-        if self.lanes.is_empty() {
+        if self.ops.is_empty() {
             1.0
         } else {
-            self.idx as f64 / self.lanes.len() as f64
+            self.idx as f64 / self.ops.len() as f64
         }
     }
 }
@@ -69,17 +61,14 @@ impl CoreEngine for InOrderCore {
         );
         let deadline = now + EPISODE_BUDGET;
         let mut t = now;
-        // Iterate the contiguous kind/addr lanes; only memory ops pay
-        // for reconstructing the full 16-byte record.
-        let kinds = &self.lanes.kind;
         while t < deadline {
-            let Some(&kind) = kinds.get(self.idx) else {
+            let Some(&op) = self.ops.get(self.idx) else {
                 self.stats.done_cycle = t;
                 return CoreBlock::Done;
             };
-            match kind {
+            match op.kind {
                 OpKind::Compute => {
-                    let cycles = self.lanes.addr[self.idx];
+                    let cycles = op.addr;
                     self.stats.instructions += cycles;
                     self.idx += 1;
                     t += cycles.max(1);
@@ -90,13 +79,11 @@ impl CoreEngine for InOrderCore {
                 }
                 OpKind::SwPrefetch => {
                     self.stats.instructions += 1;
-                    let addr = imp_common::Addr::new(self.lanes.addr[self.idx]);
-                    port.sw_prefetch(self.id, addr, t);
+                    port.sw_prefetch(self.id, op.mem_addr(), t);
                     self.idx += 1;
                     t += 1;
                 }
                 OpKind::Load | OpKind::Store => {
-                    let op = self.lanes.op(self.idx);
                     self.stats.instructions += 1;
                     self.stats.l1_accesses += 1;
                     let (result, walk) = port.access(self.id, &op, t).split_walk();
@@ -119,7 +106,7 @@ impl CoreEngine for InOrderCore {
                                 class: op.class,
                                 issued: t,
                                 pc: op.pc,
-                                line: LineAddr::containing(Addr::new(op.addr)),
+                                line: LineAddr::containing(op.mem_addr()),
                             });
                             self.idx += 1;
                             return CoreBlock::OnMemory;

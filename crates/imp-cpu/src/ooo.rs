@@ -5,9 +5,9 @@
 
 use crate::{CoreBlock, CoreEngine, MemPort, MemResult, EPISODE_BUDGET};
 use imp_common::stats::{AccessClass, CoreStats};
-use imp_common::{Addr, Cycle, LineAddr, Pc};
+use imp_common::{Cycle, LineAddr, Pc};
 use imp_obs::CoreProbe;
-use imp_trace::{Op, OpKind, OpLanes};
+use imp_trace::{Op, OpKind};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -25,7 +25,7 @@ struct RobSlot {
 #[derive(Debug)]
 pub struct OooCore {
     id: u32,
-    lanes: Arc<OpLanes>,
+    ops: Arc<[Op]>,
     idx: usize,
     rob: VecDeque<RobSlot>,
     rob_cap: usize,
@@ -44,19 +44,12 @@ pub struct OooCore {
 const RECENT_LOAD_WINDOW: usize = 8;
 
 impl OooCore {
-    /// Creates an OoO core with a `rob_cap`-entry reorder buffer,
-    /// decoding the stream into struct-of-arrays lanes. Prefer
-    /// [`OooCore::from_lanes`] when a shared decoding already exists.
+    /// Creates an OoO core with a `rob_cap`-entry reorder buffer running
+    /// `ops` (shared, not copied; see [`crate::InOrderCore::new`]).
     pub fn new(id: u32, ops: impl Into<Arc<[Op]>>, rob_cap: usize) -> Self {
-        Self::from_lanes(id, Arc::new(OpLanes::from_ops(&ops.into())), rob_cap)
-    }
-
-    /// Creates an OoO core running a shared lane decoding (see
-    /// [`crate::InOrderCore::from_lanes`]).
-    pub fn from_lanes(id: u32, lanes: Arc<OpLanes>, rob_cap: usize) -> Self {
         OooCore {
             id,
-            lanes,
+            ops: ops.into(),
             idx: 0,
             rob: VecDeque::with_capacity(rob_cap),
             rob_cap,
@@ -115,7 +108,7 @@ impl CoreEngine for OooCore {
         let mut t = now;
         loop {
             self.retire_completed(t);
-            if self.idx >= self.lanes.len() {
+            let Some(&op) = self.ops.get(self.idx) else {
                 if self.rob.iter().any(|s| s.complete.is_none()) {
                     return CoreBlock::OnMemory;
                 }
@@ -126,7 +119,7 @@ impl CoreEngine for OooCore {
                         CoreBlock::Done
                     }
                 };
-            }
+            };
             // Structural stall: ROB full.
             if self.rob.len() >= self.rob_cap {
                 let head = self.rob.front().expect("rob non-empty");
@@ -138,8 +131,7 @@ impl CoreEngine for OooCore {
             if t >= deadline {
                 return CoreBlock::UntilTime(t);
             }
-            let kind = self.lanes.kind[self.idx];
-            match kind {
+            match op.kind {
                 OpKind::Barrier => {
                     // Barriers drain the ROB.
                     if self.rob.iter().any(|s| s.complete.is_none()) {
@@ -155,7 +147,7 @@ impl CoreEngine for OooCore {
                     return CoreBlock::AtBarrier;
                 }
                 OpKind::Compute => {
-                    let cycles = self.lanes.addr[self.idx];
+                    let cycles = op.addr;
                     let dispatch = t.max(self.last_dispatch + 1);
                     let n = cycles.max(1);
                     self.stats.instructions += cycles;
@@ -172,15 +164,14 @@ impl CoreEngine for OooCore {
                 OpKind::SwPrefetch => {
                     let dispatch = t.max(self.last_dispatch + 1);
                     self.stats.instructions += 1;
-                    let addr = imp_common::Addr::new(self.lanes.addr[self.idx]);
-                    port.sw_prefetch(self.id, addr, dispatch);
+                    port.sw_prefetch(self.id, op.mem_addr(), dispatch);
                     self.last_dispatch = dispatch;
                     self.idx += 1;
                     t = t.max(dispatch);
                 }
                 OpKind::Load | OpKind::Store => {
                     // Address dependence on an earlier load.
-                    let ready = match self.dep_complete(self.lanes.dep[self.idx]) {
+                    let ready = match self.dep_complete(op.dep) {
                         Err(()) => return CoreBlock::OnMemory,
                         Ok(Some(c)) => c,
                         Ok(None) => 0,
@@ -189,7 +180,6 @@ impl CoreEngine for OooCore {
                     if dispatch >= deadline {
                         return CoreBlock::UntilTime(dispatch);
                     }
-                    let op = self.lanes.op(self.idx);
                     self.stats.instructions += 1;
                     self.stats.l1_accesses += 1;
                     let seq = self.next_load_seq;
@@ -227,10 +217,8 @@ impl CoreEngine for OooCore {
                                 class: op.class,
                                 issued: dispatch,
                             });
-                            self.tokens.insert(
-                                token,
-                                (seq, op.pc, LineAddr::containing(Addr::new(op.addr))),
-                            );
+                            self.tokens
+                                .insert(token, (seq, op.pc, LineAddr::containing(op.mem_addr())));
                             if op.kind == OpKind::Load {
                                 self.note_load(seq, None);
                             }

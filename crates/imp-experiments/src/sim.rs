@@ -888,24 +888,31 @@ mod tests {
         let all4k = base.clone().run().unwrap();
         assert_eq!(all4k.tlb_huge_total(), Default::default());
 
-        // Moving the indirect-target arrays to 2 MB pages routes their
-        // translations through the huge sub-TLB (own ledger, shallower
-        // walks) without touching data results.
-        let huge = base
-            .clone()
-            .page_policy("pr0", PagePolicy::Huge2M)
-            .page_policy("pr1", PagePolicy::Huge2M)
-            .page_policy("deg", PagePolicy::Huge2M)
-            .run()
-            .unwrap();
-        let h = huge.tlb_huge_total();
-        assert!(h.lookups() > 0, "huge sub-TLB ran: {h:?}");
-        assert_eq!(h.walk_levels, 3 * h.misses, "2 MB walks are 3 levels");
+        // Moving an indirect-target array to huge pages routes its
+        // translations through the huge sub-TLB (own ledger, walks one
+        // level shallower) while the other arrays stay on base pages.
+        // At Tiny a promoted array's huge page covers pagerank's whole
+        // footprint, so the mixed case runs spmv on 256 B base pages
+        // (128 KiB huge pages), where promoting `x` leaves the matrix
+        // on base pages.
+        let spmv = Sim::workload("spmv")
+            .scale(Scale::Tiny)
+            .prefetcher("imp")
+            .page_size(256);
+        let spmv_base = spmv.clone().run().unwrap();
+        let mixed = spmv.page_policy("x", PagePolicy::Huge2M).run().unwrap();
+        let (b, h) = (mixed.tlb_base_total(), mixed.tlb_huge_total());
         assert!(
-            huge.tlb_total().misses < all4k.tlb_total().misses,
+            b.lookups() > 0 && h.lookups() > 0,
+            "both page sizes translate: base {b:?}, huge {h:?}"
+        );
+        assert_eq!(b.walk_levels, 5 * b.misses, "256 B walks are 5 levels");
+        assert_eq!(h.walk_levels, 4 * h.misses, "128 KiB walks are 4 levels");
+        assert!(
+            mixed.tlb_total().misses < spmv_base.tlb_total().misses,
             "huge pages shrink the miss stream: {} vs {}",
-            huge.tlb_total().misses,
-            all4k.tlb_total().misses
+            mixed.tlb_total().misses,
+            spmv_base.tlb_total().misses
         );
 
         // Globs re-policy families; later overrides win.

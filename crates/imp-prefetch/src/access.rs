@@ -460,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn hops_and_the_stream_alias_track_the_kind() {
+    fn hops_and_classes_track_the_kind() {
         assert_eq!(PrefetchKind::Sequential.hop(), 0);
         assert_eq!(PrefetchKind::Indirect { pt: 0, hop: 2 }.hop(), 2);
         assert_eq!(PrefetchKind::TranslationOnly { hop: 4 }.hop(), 4);

@@ -40,9 +40,15 @@ mod tests {
     use super::*;
     use imp_common::config::{MemMode, PartialMode, PrefetcherKind};
     use imp_common::stats::AccessClass;
-    use imp_common::{Pc, SystemConfig};
+    use imp_common::{Addr, Pc, SectorMask, SystemConfig};
     use imp_mem::{AddressSpace, FunctionalMemory};
+    use imp_prefetch::{
+        Access, Control, Feedback, L1Prefetcher, PrefetchCtx, PrefetchKind, PrefetchRequest,
+        PrefetcherStats,
+    };
     use imp_trace::{Op, Program};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// Builds a 16-core program where every core streams over a private
     /// index array and performs `A[B[i]]` indirect loads.
@@ -463,6 +469,84 @@ mod tests {
             s.traffic.noc_messages > 40,
             "messages {}",
             s.traffic.noc_messages
+        );
+    }
+
+    /// Core 0's prefetcher issues one exclusive prefetch of a target
+    /// line on its first access; every epoch's evicted-unused count
+    /// reaches `evicted_unused` through core 0's feedback.
+    struct OneExclusivePrefetch {
+        target: Option<Addr>,
+        evicted_unused: Option<Arc<AtomicU64>>,
+        stats: PrefetcherStats,
+    }
+
+    impl L1Prefetcher for OneExclusivePrefetch {
+        fn on_access_ctx(&mut self, access: Access, ctx: &mut PrefetchCtx<'_>) {
+            if let Some(addr) = self.target.take() {
+                ctx.emit(PrefetchRequest {
+                    pc: access.pc,
+                    addr,
+                    sectors: SectorMask::FULL_L1,
+                    exclusive: true,
+                    kind: PrefetchKind::Sequential,
+                });
+            }
+        }
+
+        fn on_feedback(&mut self, feedback: &Feedback) -> Control {
+            if let Some(n) = &self.evicted_unused {
+                n.fetch_add(feedback.total.evicted_unused, Ordering::Relaxed);
+            }
+            Control::none()
+        }
+
+        fn stats(&self) -> &PrefetcherStats {
+            &self.stats
+        }
+    }
+
+    #[test]
+    fn fetch_invalidation_of_an_unused_prefetch_reaches_the_manager_ledger() {
+        let target = Addr::new(0x4_0000);
+        let evicted_unused = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&evicted_unused);
+        imp_prefetch::registry::register_fn("sim-test-one-exclusive", move |_spec, ctx| {
+            let core0 = ctx.core == 0;
+            Ok(Box::new(OneExclusivePrefetch {
+                target: core0.then_some(target),
+                evicted_unused: core0.then(|| Arc::clone(&counter)),
+                stats: PrefetcherStats::default(),
+            }))
+        })
+        .expect("test owns this name");
+
+        // Core 0 prefetches the target line exclusively and never
+        // touches it; after the barrier core 1 stores to it, so the home
+        // fetches the line back from its owner with an invalidation.
+        // Epochs keep closing long after that.
+        let mut p = Program::new("fetch-invalidate", 4);
+        let private = Addr::new(0x1000);
+        p.core_mut(0)
+            .push(Op::load(private, 8, Pc::new(1), AccessClass::Other));
+        p.core_mut(0).push(Op::compute(2_000));
+        p.barrier();
+        p.core_mut(1)
+            .push(Op::store(target, 8, Pc::new(2), AccessClass::Other));
+        for c in 0..4 {
+            p.core_mut(c).push(Op::compute(20_000));
+        }
+        let cfg = SystemConfig::paper_default(4)
+            .with_prefetcher("sim-test-one-exclusive")
+            .with_manager("static:epoch=1000");
+        let s = run(cfg, p, FunctionalMemory::new());
+
+        assert_eq!(s.prefetch[0].issued_stream, 1);
+        assert_eq!(s.prefetch[0].unused, 1, "the prefetch was never used");
+        assert_eq!(
+            evicted_unused.load(Ordering::Relaxed),
+            1,
+            "the manager's ledger saw the invalidated prefetch before run end"
         );
     }
 

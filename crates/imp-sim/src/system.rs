@@ -828,7 +828,10 @@ impl Fabric {
         self.mshr[c].recycle_waiters(entry.waiters);
     }
 
-    fn l1_evicted(&mut self, c: usize, ev: Evicted, now: Cycle) {
+    /// A line left core `c`'s L1, by eviction or invalidation: settles
+    /// a prefetched line's outcome in the statistics, the probe and the
+    /// manager's ledger, and tells the prefetcher.
+    fn l1_left(&mut self, c: usize, ev: &Evicted, now: Cycle) {
         if ev.prefetched_untouched {
             self.pstats[c].unused += 1;
             self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
@@ -839,6 +842,10 @@ impl Fabric {
             self.pstats[c].useful += 1;
         }
         self.pref[c].on_eviction(ev.line);
+    }
+
+    fn l1_evicted(&mut self, c: usize, ev: Evicted, now: Cycle) {
+        self.l1_left(c, &ev, now);
         if !ev.dirty.is_empty() {
             let payload = mask_bytes(&self.l1[c], ev.dirty);
             let home = self.home_of(ev.line);
@@ -855,16 +862,7 @@ impl Fabric {
         let c = usize::from(msg.dst);
         let dirty = match self.l1[c].invalidate(msg.line) {
             Some(ev) => {
-                if ev.prefetched_untouched {
-                    self.pstats[c].unused += 1;
-                    self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
-                    if let Some(m) = self.mgr.as_mut() {
-                        m.ledger.evicted_unused(c as u32, ev.line);
-                    }
-                } else if ev.prefetched_touched {
-                    self.pstats[c].useful += 1;
-                }
-                self.pref[c].on_eviction(ev.line);
+                self.l1_left(c, &ev, now);
                 ev.dirty
             }
             None => SectorMask::EMPTY,
@@ -891,13 +889,7 @@ impl Fabric {
         let present = if invalidate {
             let ev = self.l1[c].invalidate(msg.line);
             if let Some(ref e) = ev {
-                if e.prefetched_untouched {
-                    self.pstats[c].unused += 1;
-                    self.probe.prefetch_evicted_unused(c as u32, msg.line, now);
-                } else if e.prefetched_touched {
-                    self.pstats[c].useful += 1;
-                }
-                self.pref[c].on_eviction(msg.line);
+                self.l1_left(c, e, now);
             }
             ev.is_some()
         } else {
@@ -1467,7 +1459,6 @@ impl System {
             });
         }
         program.validate_barriers()?;
-        program.freeze();
         let n = cfg.cores as usize;
         let partial = cfg.partial != PartialMode::Off;
         let l1_sectors = if partial { cfg.mem.l1d.sectors } else { 1 };
@@ -1475,14 +1466,12 @@ impl System {
 
         let cores: Vec<Box<dyn CoreEngine>> = (0..n)
             .map(|c| -> Box<dyn CoreEngine> {
-                let lanes = program.lanes(c); // shared, not copied
+                let ops = program.stream(c); // shared, not copied
                 match cfg.core_model {
-                    CoreModel::InOrder => Box::new(InOrderCore::from_lanes(c as u32, lanes)),
-                    CoreModel::OutOfOrder => Box::new(OooCore::from_lanes(
-                        c as u32,
-                        lanes,
-                        cfg.rob_entries as usize,
-                    )),
+                    CoreModel::InOrder => Box::new(InOrderCore::new(c as u32, ops)),
+                    CoreModel::OutOfOrder => {
+                        Box::new(OooCore::new(c as u32, ops, cfg.rob_entries as usize))
+                    }
                 }
             })
             .collect();

@@ -166,95 +166,25 @@ impl Op {
     }
 }
 
-/// Struct-of-arrays decoding of one op stream: each [`Op`] field in its
-/// own contiguous lane, indexed by op position.
-///
-/// The simulator's core engines iterate the `kind` lane (1 byte/op) and
-/// touch the other lanes only for the ops that need them, instead of
-/// striding over 16-byte `Op` records — compute-heavy stretches of a
-/// stream stay inside a few cache lines. [`OpLanes::op`] reconstructs
-/// the original record for interfaces that still take `&Op`.
-#[derive(Clone, Debug)]
-pub struct OpLanes {
-    /// Operation kinds, one byte per op.
-    pub kind: Box<[OpKind]>,
-    /// Byte address (memory ops) or cycle count (`Compute`).
-    pub addr: Box<[u64]>,
-    /// Static access-site PCs.
-    pub pc: Box<[Pc]>,
-    /// Access sizes in bytes.
-    pub size: Box<[u8]>,
-    /// Ground-truth access classes.
-    pub class: Box<[AccessClass]>,
-    /// OoO dependency distances.
-    pub dep: Box<[u8]>,
-}
-
-impl OpLanes {
-    /// Decodes `ops` into per-field lanes.
-    pub fn from_ops(ops: &[Op]) -> Self {
-        OpLanes {
-            kind: ops.iter().map(|o| o.kind).collect(),
-            addr: ops.iter().map(|o| o.addr).collect(),
-            pc: ops.iter().map(|o| o.pc).collect(),
-            size: ops.iter().map(|o| o.size).collect(),
-            class: ops.iter().map(|o| o.class).collect(),
-            dep: ops.iter().map(|o| o.dep).collect(),
-        }
-    }
-
-    /// Number of ops in the stream.
-    pub fn len(&self) -> usize {
-        self.kind.len()
-    }
-
-    /// True when the stream has no ops.
-    pub fn is_empty(&self) -> bool {
-        self.kind.is_empty()
-    }
-
-    /// Reconstructs the 16-byte [`Op`] record at position `i`.
-    #[inline]
-    pub fn op(&self, i: usize) -> Op {
-        Op {
-            addr: self.addr[i],
-            pc: self.pc[i],
-            kind: self.kind[i],
-            size: self.size[i],
-            class: self.class[i],
-            dep: self.dep[i],
-        }
-    }
-}
-
-impl From<&[Op]> for OpLanes {
-    fn from(ops: &[Op]) -> Self {
-        OpLanes::from_ops(ops)
-    }
-}
-
 /// One core's op stream: a growable buffer while the workload generator
-/// is appending, an immutable shared `Arc<[Op]>` (plus its lane
-/// decoding) once frozen.
+/// is appending, an immutable shared `Arc<[Op]>` once frozen.
 #[derive(Clone, Debug)]
 enum Stream {
     Building(Vec<Op>),
-    Frozen { ops: Arc<[Op]>, lanes: Arc<OpLanes> },
+    Frozen(Arc<[Op]>),
 }
 
 impl Stream {
     fn ops(&self) -> &[Op] {
         match self {
             Stream::Building(v) => v,
-            Stream::Frozen { ops, .. } => ops,
+            Stream::Frozen(ops) => ops,
         }
     }
 
     fn freeze(&mut self) {
         if let Stream::Building(v) = self {
-            let ops: Arc<[Op]> = Arc::from(std::mem::take(v).into_boxed_slice());
-            let lanes = Arc::new(OpLanes::from_ops(&ops));
-            *self = Stream::Frozen { ops, lanes };
+            *self = Stream::Frozen(Arc::from(std::mem::take(v)));
         }
     }
 }
@@ -302,17 +232,16 @@ impl Program {
     /// freeze never pay it.
     pub fn core_mut(&mut self, core: usize) -> &mut Vec<Op> {
         let slot = &mut self.streams[core];
-        if let Stream::Frozen { ops, .. } = slot {
+        if let Stream::Frozen(ops) = slot {
             *slot = Stream::Building(ops.to_vec());
         }
         match slot {
             Stream::Building(v) => v,
-            Stream::Frozen { .. } => unreachable!("stream thawed above"),
+            Stream::Frozen(_) => unreachable!("stream thawed above"),
         }
     }
 
-    /// Freezes every stream into its shared immutable form (the op
-    /// records plus their [`OpLanes`] decoding). Idempotent;
+    /// Freezes every stream into its shared immutable form. Idempotent;
     /// already-frozen streams are untouched.
     pub fn freeze(&mut self) {
         for slot in &mut self.streams {
@@ -327,20 +256,7 @@ impl Program {
         let slot = &mut self.streams[core];
         slot.freeze();
         match slot {
-            Stream::Frozen { ops, .. } => Arc::clone(ops),
-            Stream::Building(_) => unreachable!("stream frozen above"),
-        }
-    }
-
-    /// The shared struct-of-arrays decoding of one core's stream,
-    /// freezing it first if needed. All clones of a frozen program
-    /// share one decoding, so fanning a workload out over many
-    /// simulator configurations decodes it once.
-    pub fn lanes(&mut self, core: usize) -> Arc<OpLanes> {
-        let slot = &mut self.streams[core];
-        slot.freeze();
-        match slot {
-            Stream::Frozen { lanes, .. } => Arc::clone(lanes),
+            Stream::Frozen(ops) => Arc::clone(ops),
             Stream::Building(_) => unreachable!("stream frozen above"),
         }
     }
@@ -472,40 +388,17 @@ mod tests {
         let b = p.stream(0);
         assert!(Arc::ptr_eq(&a, &b), "frozen stream is shared, not copied");
 
-        let clone = p.clone();
+        let mut clone = p.clone();
         for (c, ops) in before.iter().enumerate() {
             assert_eq!(clone.ops(c), &ops[..]);
         }
+        assert!(Arc::ptr_eq(&a, &clone.stream(0)), "clones share it too");
 
         // Mutation after freeze thaws into a private buffer.
         let mut thawed = p.clone();
         thawed.core_mut(0).push(Op::compute(1));
         assert_eq!(thawed.ops(0).len(), 2);
         assert_eq!(p.ops(0).len(), 1, "original untouched");
-    }
-
-    #[test]
-    fn lanes_round_trip_and_are_shared() {
-        let mut p = Program::new("l", 1);
-        p.core_mut(0).push(Op::compute(3));
-        p.core_mut(0)
-            .push(Op::load(Addr::new(0x40), 8, Pc::new(7), AccessClass::Indirect).with_dep(1));
-        p.core_mut(0).push(Op::barrier());
-        let lanes = p.lanes(0);
-        assert_eq!(lanes.len(), 3);
-        assert!(!lanes.is_empty());
-        for i in 0..lanes.len() {
-            assert_eq!(lanes.op(i), p.ops(0)[i], "lane {i} reconstructs the record");
-        }
-        let again = p.lanes(0);
-        assert!(
-            Arc::ptr_eq(&lanes, &again),
-            "decoding is shared, not rebuilt"
-        );
-        assert!(
-            Arc::ptr_eq(&lanes, &p.clone().lanes(0)),
-            "clones share it too"
-        );
     }
 
     #[test]

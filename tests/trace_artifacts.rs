@@ -7,7 +7,9 @@
 //!   `trace:<path>` pseudo-workload and through `Sim::run_on` — to the
 //!   same `SystemStats` as the live build;
 //! * a checksum-valid trace holding ops the simulator cannot run fails
-//!   to decode and to replay with typed errors instead of panicking.
+//!   to decode and to replay with typed errors instead of panicking;
+//! * every `System` built from an artifact references the artifact's
+//!   frozen streams instead of copying them.
 //!
 //! Each test uses a different workload name so the per-name build
 //! counters don't interfere across this binary's parallel test threads.
@@ -16,6 +18,7 @@ use imp::prelude::*;
 use imp::trace::TraceError;
 use imp::workloads::{build_count, BuiltArtifact};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("imp-it-{tag}-{}.imptrace", std::process::id()))
@@ -164,6 +167,26 @@ fn translation_axis_cells_share_one_built_artifact() {
     );
     assert_eq!(results.len(), 6);
     assert!(results.iter().all(|r| r.stats.tlb_total().lookups() > 0));
+}
+
+/// A frozen stream is one allocation: each system built from an
+/// artifact adds a reference to it, and dropping the system releases it.
+#[test]
+fn systems_built_from_an_artifact_share_its_streams() {
+    let sim = Sim::workload("pagerank").scale(Scale::Tiny).cores(16);
+    let artifact = sim.build_artifact().unwrap();
+    let stream = artifact.program().clone().stream(0);
+    let before = Arc::strong_count(&stream);
+    let build = || {
+        let (program, mem) = (artifact.program().clone(), artifact.mem().clone());
+        System::try_new(sim.config().unwrap(), program, mem).unwrap()
+    };
+    let a = build();
+    assert_eq!(Arc::strong_count(&stream), before + 1, "shared, not copied");
+    let b = build();
+    assert_eq!(Arc::strong_count(&stream), before + 2);
+    drop((a, b));
+    assert_eq!(Arc::strong_count(&stream), before);
 }
 
 /// Per-region page placement is translation-only configuration too: a
