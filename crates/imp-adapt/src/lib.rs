@@ -27,7 +27,7 @@
 //! and join a run's canonical input, so managed and unmanaged runs
 //! content-address to different sweep cells.
 
-use imp_common::config::{ParamValue, PrefetcherSpec};
+use imp_common::config::{ParamError, PrefetcherSpec};
 use imp_common::stats::AccessClass;
 use imp_common::{Cycle, FastMap, Pc};
 use imp_obs::{Ledger, LedgerCounts};
@@ -86,6 +86,16 @@ impl std::fmt::Display for ManagerError {
 
 impl std::error::Error for ManagerError {}
 
+impl From<ParamError> for ManagerError {
+    fn from(e: ParamError) -> Self {
+        ManagerError::InvalidParam {
+            policy: e.spec,
+            param: e.param,
+            reason: e.reason,
+        }
+    }
+}
+
 /// An epoch-driven management policy: sees one [`Feedback`] digest per
 /// epoch, answers with a [`Control`] that holds until the next epoch.
 pub trait ManagerPolicy {
@@ -127,7 +137,7 @@ impl Manager {
         };
         let policy: Box<dyn ManagerPolicy> = match spec.name.as_str() {
             "static" => {
-                reject_unknown_params(spec, &["epoch"])?;
+                spec.reject_unknown_params(&["epoch"])?;
                 Box::new(StaticPolicy)
             }
             "throttle" => Box::new(ThrottlePolicy::from_spec(spec)?),
@@ -174,75 +184,6 @@ impl std::fmt::Debug for Manager {
             .field("policy", &self.policy.name())
             .field("spec", &self.spec)
             .finish()
-    }
-}
-
-fn reject_unknown_params(spec: &PrefetcherSpec, accepted: &[&str]) -> Result<(), ManagerError> {
-    for key in spec.params.keys() {
-        if !accepted.contains(&key.as_str()) {
-            return Err(ManagerError::InvalidParam {
-                policy: spec.name.clone(),
-                param: key.clone(),
-                reason: format!("accepted parameters: {}", accepted.join(", ")),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn param_f64(spec: &PrefetcherSpec, key: &str, default: f64) -> Result<f64, ManagerError> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_f64().ok_or_else(|| ManagerError::InvalidParam {
-            policy: spec.name.clone(),
-            param: key.to_string(),
-            reason: format!("expected a number, got {v}"),
-        }),
-    }
-}
-
-fn param_u64(spec: &PrefetcherSpec, key: &str, default: u64) -> Result<u64, ManagerError> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| ManagerError::InvalidParam {
-            policy: spec.name.clone(),
-            param: key.to_string(),
-            reason: format!("expected a non-negative integer, got {v}"),
-        }),
-    }
-}
-
-fn param_u32(spec: &PrefetcherSpec, key: &str, default: u32) -> Result<u32, ManagerError> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u32().ok_or_else(|| ManagerError::InvalidParam {
-            policy: spec.name.clone(),
-            param: key.to_string(),
-            reason: format!("expected a non-negative integer, got {v}"),
-        }),
-    }
-}
-
-fn param_bool(spec: &PrefetcherSpec, key: &str, default: bool) -> Result<bool, ManagerError> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_bool().ok_or_else(|| ManagerError::InvalidParam {
-            policy: spec.name.clone(),
-            param: key.to_string(),
-            reason: format!("expected a boolean, got {v}"),
-        }),
-    }
-}
-
-fn param_str<'s>(spec: &'s PrefetcherSpec, key: &str) -> Result<Option<&'s str>, ManagerError> {
-    match spec.get(key) {
-        None => Ok(None),
-        Some(ParamValue::Str(s)) => Ok(Some(s)),
-        Some(v) => Err(ManagerError::InvalidParam {
-            policy: spec.name.clone(),
-            param: key.to_string(),
-            reason: format!("expected a string, got {v}"),
-        }),
     }
 }
 

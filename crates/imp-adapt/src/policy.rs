@@ -5,7 +5,6 @@ use imp_common::Pc;
 use imp_prefetch::{Control, Feedback};
 
 use crate::tree::{DecisionTree, TreeAction};
-use crate::{param_bool, param_f64, param_str, param_u32, param_u64, reject_unknown_params};
 use crate::{ManagerError, ManagerPolicy};
 
 /// Requests nothing, ever. A `static`-managed run is bit-identical to
@@ -67,21 +66,18 @@ impl ThrottlePolicy {
     /// Builds from a spec: `throttle:accuracy_floor=0.5,recover=0.7,
     /// min_issued=32,pc_min_issued=8,degree=1,mask=true,epoch=10000`.
     pub fn from_spec(spec: &PrefetcherSpec) -> Result<Self, ManagerError> {
-        reject_unknown_params(
-            spec,
-            &[
-                "epoch",
-                "accuracy_floor",
-                "recover",
-                "min_issued",
-                "pc_min_issued",
-                "degree",
-                "mask",
-            ],
-        )?;
+        spec.reject_unknown_params(&[
+            "epoch",
+            "accuracy_floor",
+            "recover",
+            "min_issued",
+            "pc_min_issued",
+            "degree",
+            "mask",
+        ])?;
         let stock = ThrottlePolicy::new();
-        let floor = param_f64(spec, "accuracy_floor", stock.accuracy_floor)?;
-        let recover = param_f64(spec, "recover", stock.recover)?;
+        let floor = spec.param_f64("accuracy_floor", stock.accuracy_floor)?;
+        let recover = spec.param_f64("recover", stock.recover)?;
         if !(0.0..=1.0).contains(&floor) || !(0.0..=1.0).contains(&recover) || recover < floor {
             return Err(ManagerError::InvalidParam {
                 policy: spec.name.clone(),
@@ -94,10 +90,10 @@ impl ThrottlePolicy {
         Ok(ThrottlePolicy {
             accuracy_floor: floor,
             recover,
-            min_issued: param_u64(spec, "min_issued", stock.min_issued)?,
-            pc_min_issued: param_u64(spec, "pc_min_issued", stock.pc_min_issued)?,
-            degree: param_u32(spec, "degree", stock.degree)?,
-            mask: param_bool(spec, "mask", stock.mask)?,
+            min_issued: spec.param_u64("min_issued", stock.min_issued)?,
+            pc_min_issued: spec.param_u64("pc_min_issued", stock.pc_min_issued)?,
+            degree: spec.param_u32("degree", stock.degree)?,
+            mask: spec.param_bool("mask", stock.mask)?,
             throttled: false,
             masked: Vec::new(),
         })
@@ -191,8 +187,8 @@ impl TreePolicy {
     /// degree=1,pc_min_issued=8,epoch=10000`. Without `spec=` the
     /// [`DecisionTree::paper_default`] tree is used.
     pub fn from_spec(spec: &PrefetcherSpec) -> Result<Self, ManagerError> {
-        reject_unknown_params(spec, &["epoch", "spec", "degree", "pc_min_issued"])?;
-        let tree = match param_str(spec, "spec")? {
+        spec.reject_unknown_params(&["epoch", "spec", "degree", "pc_min_issued"])?;
+        let tree = match spec.param_str("spec")? {
             None => DecisionTree::paper_default(),
             Some(s) => s
                 .parse()
@@ -204,8 +200,8 @@ impl TreePolicy {
         };
         let stock = TreePolicy::new(tree);
         Ok(TreePolicy {
-            degree: param_u32(spec, "degree", stock.degree)?,
-            pc_min_issued: param_u64(spec, "pc_min_issued", stock.pc_min_issued)?,
+            degree: spec.param_u32("degree", stock.degree)?,
+            pc_min_issued: spec.param_u64("pc_min_issued", stock.pc_min_issued)?,
             ..stock
         })
     }

@@ -210,6 +210,87 @@ impl PrefetcherSpec {
     pub fn get(&self, key: &str) -> Option<&ParamValue> {
         self.params.get(key)
     }
+
+    /// Fails on the first parameter, in key order, not in `accepted`.
+    pub fn reject_unknown_params(&self, accepted: &[&str]) -> Result<(), ParamError> {
+        match self.params.keys().find(|k| !accepted.contains(&k.as_str())) {
+            Some(key) => {
+                Err(self.param_error(key, format!("accepted parameters: {}", accepted.join(", "))))
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Parameter `key` as a `u64`, or `default` when it is unset.
+    pub fn param_u64(&self, key: &str, default: u64) -> Result<u64, ParamError> {
+        self.param(key, default, ParamValue::as_u64, "a non-negative integer")
+    }
+
+    /// Parameter `key` as a `u32`, or `default` when it is unset.
+    pub fn param_u32(&self, key: &str, default: u32) -> Result<u32, ParamError> {
+        self.param(key, default, ParamValue::as_u32, "a non-negative integer")
+    }
+
+    /// Parameter `key` as a `usize`, or `default` when it is unset.
+    pub fn param_usize(&self, key: &str, default: usize) -> Result<usize, ParamError> {
+        self.param(key, default, ParamValue::as_usize, "a non-negative integer")
+    }
+
+    /// Parameter `key` as an `f64`, or `default` when it is unset.
+    pub fn param_f64(&self, key: &str, default: f64) -> Result<f64, ParamError> {
+        self.param(key, default, ParamValue::as_f64, "a number")
+    }
+
+    /// Parameter `key` as a `bool`, or `default` when it is unset.
+    pub fn param_bool(&self, key: &str, default: bool) -> Result<bool, ParamError> {
+        self.param(key, default, ParamValue::as_bool, "a boolean")
+    }
+
+    /// Parameter `key` as a string, or `None` when it is unset.
+    pub fn param_str(&self, key: &str) -> Result<Option<&str>, ParamError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(v) => v
+                .as_str()
+                .map(Some)
+                .ok_or_else(|| self.param_error(key, format!("expected a string, got {v}"))),
+        }
+    }
+
+    fn param<T>(
+        &self,
+        key: &str,
+        default: T,
+        read: fn(&ParamValue) -> Option<T>,
+        expected: &str,
+    ) -> Result<T, ParamError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => read(v)
+                .ok_or_else(|| self.param_error(key, format!("expected {expected}, got {v}"))),
+        }
+    }
+
+    fn param_error(&self, key: &str, reason: String) -> ParamError {
+        ParamError {
+            spec: self.name.clone(),
+            param: key.to_string(),
+            reason,
+        }
+    }
+}
+
+/// A parameter that [`PrefetcherSpec`]'s readers rejected. The prefetcher
+/// registry and the manager each turn it into their own `InvalidParam`
+/// error.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParamError {
+    /// The name of the spec that carried the parameter.
+    pub spec: String,
+    /// The offending key.
+    pub param: String,
+    /// Human-readable explanation.
+    pub reason: String,
 }
 
 impl Default for PrefetcherSpec {
@@ -757,8 +838,6 @@ pub struct CacheConfig {
 /// Memory-hierarchy configuration derived from Table 1.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MemConfig {
-    /// Cache line size in bytes (64 in the paper).
-    pub line_bytes: u64,
     /// Private L1 data cache (32 KB, 4-way).
     pub l1d: CacheConfig,
     /// Shared L2 slice per tile (2/sqrt(N) MB, 8-way).
@@ -778,8 +857,6 @@ pub struct MemConfig {
     /// Simple-model per-controller bandwidth in bytes per cycle
     /// (10 GB/s at 1 GHz = 10 B/cycle).
     pub dram_bytes_per_cycle: f64,
-    /// Minimum DRAM transfer granule in bytes (32 B, Section 4.1).
-    pub dram_granule: u64,
 }
 
 /// IMP hardware parameters (Table 2).
@@ -903,7 +980,6 @@ impl SystemConfig {
             partial: PartialMode::Off,
             tlb: TlbConfig::ideal(),
             mem: MemConfig {
-                line_bytes: crate::LINE_BYTES,
                 l1d: CacheConfig {
                     size_bytes: 32 * 1024,
                     associativity: 4,
@@ -925,7 +1001,6 @@ impl SystemConfig {
                 dram: DramModelKind::Simple,
                 dram_latency: 100,
                 dram_bytes_per_cycle: 10.0,
-                dram_granule: 32,
             },
             imp: ImpConfig::paper_default(),
             perfpref_lead: 4096,
@@ -1019,6 +1094,9 @@ impl SystemConfig {
             None => String::new(),
             Some(spec) => format!(";mgr:{spec}"),
         };
+        // `line:` and the last `dram:` value are the constant line size
+        // and DRAM granule, kept so that digests recorded while both
+        // were `MemConfig` fields stay valid.
         format!(
             "cores:{};core:{:?};rob:{};mode:{:?};pf:{};partial:{:?};{};\
              mem[line:{},l1:{}/{}/{}/{}/{},l2:{}/{}/{}/{}/{},ack:{},hop:{},flit:{},\
@@ -1032,7 +1110,7 @@ impl SystemConfig {
             self.prefetcher,
             self.partial,
             self.tlb.canonical(),
-            m.line_bytes,
+            crate::LINE_BYTES,
             m.l1d.size_bytes,
             m.l1d.associativity,
             m.l1d.latency,
@@ -1050,7 +1128,7 @@ impl SystemConfig {
             m.dram,
             m.dram_latency,
             m.dram_bytes_per_cycle,
-            m.dram_granule,
+            crate::L2_SECTOR_BYTES,
             i.pt_entries,
             i.max_ways,
             i.max_levels,
@@ -1094,7 +1172,7 @@ mod tests {
     #[test]
     fn table1_fixed_parameters() {
         let c = SystemConfig::paper_default(64);
-        assert_eq!(c.mem.line_bytes, 64);
+        assert_eq!(crate::LINE_BYTES, 64);
         assert_eq!(c.mem.l1d.size_bytes, 32 * 1024);
         assert_eq!(c.mem.l1d.associativity, 4);
         assert_eq!(c.mem.l2_slice.associativity, 8);

@@ -86,10 +86,9 @@ impl CoreEngine for InOrderCore {
                 OpKind::Load | OpKind::Store => {
                     self.stats.instructions += 1;
                     self.stats.l1_accesses += 1;
-                    let (result, walk) = port.access(self.id, &op, t).split_walk();
+                    let (result, walk) = port.access(self.id, &op, t);
                     self.stats.walk_stall_cycles += walk;
                     match result {
-                        MemResult::TlbWalk { .. } => unreachable!("split_walk flattened this"),
                         MemResult::Hit(done) => {
                             self.stats.l1_hits += 1;
                             self.idx += 1;
@@ -155,12 +154,12 @@ mod tests {
     }
 
     impl MemPort for FakePort {
-        fn access(&mut self, _core: u32, op: &Op, now: Cycle) -> MemResult {
+        fn access(&mut self, _core: u32, op: &Op, now: Cycle) -> (MemResult, Cycle) {
             if op.addr < self.hit_below {
-                MemResult::Hit(now + 1)
+                (MemResult::Hit(now + 1), 0)
             } else {
                 self.tokens += 1;
-                MemResult::Miss(self.tokens)
+                (MemResult::Miss(self.tokens), 0)
             }
         }
         fn sw_prefetch(&mut self, _core: u32, addr: Addr, _now: Cycle) {
@@ -261,26 +260,12 @@ mod tests {
 
     #[test]
     fn tlb_walk_blocks_and_is_accounted() {
-        /// Every access pays a 100-cycle walk; loads then hit, stores
-        /// miss into the store buffer.
-        struct WalkPort;
-        impl MemPort for WalkPort {
-            fn access(&mut self, _core: u32, op: &Op, now: Cycle) -> MemResult {
-                let then = if op.kind == OpKind::Store {
-                    crate::WalkOutcome::StoreBuffered(now + 101)
-                } else {
-                    crate::WalkOutcome::Hit(now + 101)
-                };
-                MemResult::TlbWalk { walk: 100, then }
-            }
-            fn sw_prefetch(&mut self, _core: u32, _addr: Addr, _now: Cycle) {}
-        }
         let ops = vec![
             load(0x1000, AccessClass::Indirect),
             Op::store(Addr::new(0x2000), 8, Pc::new(2), AccessClass::Other),
         ];
         let mut core = InOrderCore::new(0, ops);
-        assert_eq!(core.run(0, &mut WalkPort), CoreBlock::Done);
+        assert_eq!(core.run(0, &mut crate::tests::WalkPort), CoreBlock::Done);
         assert_eq!(core.stats().walk_stall_cycles, 200);
         assert_eq!(core.stats().l1_hits, 1);
         assert_eq!(core.stats().l1_misses[AccessClass::Other.index()], 1);

@@ -21,8 +21,9 @@ use imp_trace::Op;
 /// Result of a demand access issued to the memory port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemResult {
-    /// The access completes at the returned cycle (an L1 hit — or any
-    /// access under the Ideal / PerfectPrefetch modes).
+    /// The access completes at the returned cycle: an L1 hit, any
+    /// access under the Ideal mode, or a PerfectPrefetch access that
+    /// its lead does not throttle.
     Hit(Cycle),
     /// The access missed; the port will call
     /// [`CoreEngine::mem_complete`] with this token when data arrives.
@@ -31,82 +32,16 @@ pub enum MemResult {
     /// core proceeds at the returned cycle while the line is fetched in
     /// the background (counts as a miss for statistics).
     StoreBuffered(Cycle),
-    /// The dTLB missed: the access first stalls `walk` cycles for
-    /// translation — an L2-TLB hit's latency, or a full page-table
-    /// walk (flat-charged or routed through the memory hierarchy,
-    /// depending on the `WalkModel`) — then behaves like `then` (whose
-    /// embedded cycle values already include the translation delay).
-    /// Cores account the translation share in
-    /// `CoreStats::walk_stall_cycles`.
-    TlbWalk {
-        /// Cycles of the blocking translation (L2-TLB hit or walk).
-        walk: Cycle,
-        /// What the access resolved to once translated.
-        then: WalkOutcome,
-    },
-}
-
-/// How a dTLB-missing access completes after its page-table walk; each
-/// variant mirrors the corresponding [`MemResult`] variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalkOutcome {
-    /// An L1 hit once translated; completes at the cycle (walk
-    /// included).
-    Hit(Cycle),
-    /// An L1 miss once translated; completion arrives via
-    /// [`CoreEngine::mem_complete`] with this token.
-    Miss(u64),
-    /// A store retiring through the store buffer once translated.
-    StoreBuffered(Cycle),
-}
-
-impl MemResult {
-    /// Splits a [`MemResult::TlbWalk`] into its walk-free equivalent
-    /// plus the walk cycles (zero for the other variants). Core models
-    /// use this to account the walk once and then handle the underlying
-    /// outcome with their ordinary hit/miss logic.
-    pub fn split_walk(self) -> (MemResult, Cycle) {
-        match self {
-            MemResult::TlbWalk { walk, then } => (
-                match then {
-                    WalkOutcome::Hit(d) => MemResult::Hit(d),
-                    WalkOutcome::Miss(t) => MemResult::Miss(t),
-                    WalkOutcome::StoreBuffered(d) => MemResult::StoreBuffered(d),
-                },
-                walk,
-            ),
-            other => (other, 0),
-        }
-    }
-
-    /// Wraps a result behind `walk` page-walk cycles — the inverse of
-    /// [`MemResult::split_walk`], kept next to it so the variant
-    /// pairing lives in one place. Returns `self` unchanged when `walk`
-    /// is zero; walks accumulate if `self` is already walk-wrapped.
-    #[must_use]
-    pub fn with_walk(self, walk: Cycle) -> MemResult {
-        if walk == 0 {
-            return self;
-        }
-        let then = match self {
-            MemResult::Hit(d) => WalkOutcome::Hit(d),
-            MemResult::Miss(t) => WalkOutcome::Miss(t),
-            MemResult::StoreBuffered(d) => WalkOutcome::StoreBuffered(d),
-            MemResult::TlbWalk { walk: inner, then } => {
-                return MemResult::TlbWalk {
-                    walk: inner + walk,
-                    then,
-                }
-            }
-        };
-        MemResult::TlbWalk { walk, then }
-    }
 }
 
 /// The memory side presented to a core by the simulator.
 pub trait MemPort {
-    /// Issues a demand load/store. `op` must be a memory op.
-    fn access(&mut self, core: u32, op: &Op, now: Cycle) -> MemResult;
+    /// Issues a demand load/store. `op` must be a memory op. Returns the
+    /// result and the cycles the access first stalled for translation:
+    /// an L2-TLB hit's latency or a page walk, zero on a dTLB hit. The
+    /// result's cycle values already include that stall; cores account
+    /// it in `CoreStats::walk_stall_cycles`.
+    fn access(&mut self, core: u32, op: &Op, now: Cycle) -> (MemResult, Cycle);
 
     /// Issues a (non-binding, non-blocking) software prefetch.
     fn sw_prefetch(&mut self, core: u32, addr: Addr, now: Cycle);
@@ -155,3 +90,25 @@ pub trait CoreEngine {
 /// the event loop. Bounds the timing skew between cores (the reference
 /// Graphite simulator tolerates much larger lax-synchronization skew).
 pub const EPISODE_BUDGET: Cycle = 256;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use imp_trace::OpKind;
+
+    /// Every access pays a 100-cycle walk; loads then hit, stores miss
+    /// into the store buffer.
+    pub(crate) struct WalkPort;
+
+    impl MemPort for WalkPort {
+        fn access(&mut self, _core: u32, op: &Op, now: Cycle) -> (MemResult, Cycle) {
+            let result = if op.kind == OpKind::Store {
+                MemResult::StoreBuffered(now + 101)
+            } else {
+                MemResult::Hit(now + 101)
+            };
+            (result, 100)
+        }
+        fn sw_prefetch(&mut self, _core: u32, _addr: Addr, _now: Cycle) {}
+    }
+}

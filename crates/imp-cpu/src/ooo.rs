@@ -184,10 +184,9 @@ impl CoreEngine for OooCore {
                     self.stats.l1_accesses += 1;
                     let seq = self.next_load_seq;
                     self.next_load_seq += 1;
-                    let (result, walk) = port.access(self.id, &op, dispatch).split_walk();
+                    let (result, walk) = port.access(self.id, &op, dispatch);
                     self.stats.walk_stall_cycles += walk;
                     match result {
-                        MemResult::TlbWalk { .. } => unreachable!("split_walk flattened this"),
                         MemResult::StoreBuffered(done) => {
                             self.stats.l1_misses[op.class.index()] += 1;
                             self.rob.push_back(RobSlot {
@@ -288,14 +287,14 @@ mod tests {
     }
 
     impl MemPort for FakePort {
-        fn access(&mut self, _core: u32, _op: &Op, now: Cycle) -> MemResult {
+        fn access(&mut self, _core: u32, _op: &Op, now: Cycle) -> (MemResult, Cycle) {
             if self.hit {
-                MemResult::Hit(now + 1)
+                (MemResult::Hit(now + 1), 0)
             } else {
                 self.next_token += 1;
                 self.outstanding
                     .push((self.next_token, now + self.miss_latency));
-                MemResult::Miss(self.next_token)
+                (MemResult::Miss(self.next_token), 0)
             }
         }
         fn sw_prefetch(&mut self, _core: u32, _addr: Addr, _now: Cycle) {}
@@ -376,6 +375,27 @@ mod tests {
         let t = run_to_done(&mut core, &mut port);
         assert!(t <= 300, "hits should sustain ~1 IPC, took {t}");
         assert_eq!(core.stats().l1_hits, 100);
+    }
+
+    #[test]
+    fn tlb_walk_delays_completion_and_is_accounted() {
+        let ops = vec![
+            load(0x1000),
+            Op::store(Addr::new(0x2000), 8, Pc::new(2), AccessClass::Other),
+        ];
+        let mut core = OooCore::new(0, ops, 32);
+        let mut now = 0;
+        while let CoreBlock::UntilTime(t) = core.run(now, &mut crate::tests::WalkPort) {
+            now = t.max(now + 1);
+        }
+        assert_eq!(core.stats().walk_stall_cycles, 200);
+        assert_eq!(core.stats().l1_hits, 1);
+        assert_eq!(core.stats().l1_misses[AccessClass::Other.index()], 1);
+        let done = core.stats().done_cycle;
+        assert!(
+            (102..202).contains(&done),
+            "each access completes after its walk, and the two walks overlap: {done}"
+        );
     }
 
     #[test]

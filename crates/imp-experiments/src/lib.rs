@@ -24,7 +24,7 @@ pub mod sim;
 pub mod sweep;
 mod table;
 
-pub use runner::{prewarm, run, run_one, scale_from_env, sim_for, system_config, Config};
+pub use runner::{scale_from_env, sim_for, system_config, Config};
 pub use service::{RequestError, SweepRequest};
 pub use sim::{Sim, SimError};
 pub use sweep::{CellOutcome, Sweep, SweepCell, SweepCellError, SweepReport, SweepResult};
@@ -33,6 +33,7 @@ pub use table::{RowWidthError, Table};
 use imp_common::stats::AccessClass;
 use imp_common::SystemConfig;
 use imp_prefetch::cost;
+use runner::grid;
 
 /// The paper's application order in every figure.
 pub const APPS: [&str; 7] = [
@@ -51,14 +52,12 @@ pub const CORE_COUNTS: [u32; 3] = [16, 64, 256];
 /// Figure 1: L1 cache-miss breakdown (indirect / stream / other) on the
 /// Baseline at 64 cores.
 pub fn fig01_miss_breakdown(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::Base]);
     let mut t = Table::new(
         format!("Fig 1: L1 miss breakdown, Baseline, {cores} cores"),
         vec!["indirect", "stream", "other"],
     );
     let mut avg = [0.0f64; 3];
-    for app in APPS {
-        let s = run(app, cores, Config::Base);
+    for (&app, [s]) in APPS.iter().zip(grid(&APPS, cores, [Config::Base])) {
         let m = s.misses_by_class();
         let total: u64 = m.iter().sum::<u64>().max(1);
         let fr: Vec<f64> = m.iter().map(|&x| x as f64 / total as f64).collect();
@@ -74,19 +73,12 @@ pub fn fig01_miss_breakdown(cores: u32) -> Table {
 /// Figure 2: runtime normalized to Ideal, split into indirect-stall and
 /// everything-else, plus the Perfect Prefetching bar.
 pub fn fig02_motivation(cores: u32) -> Table {
-    prewarm(
-        &APPS,
-        cores,
-        &[Config::Ideal, Config::Base, Config::PerfPref],
-    );
     let mut t = Table::new(
         format!("Fig 2: runtime normalized to Ideal, {cores} cores"),
         vec!["indirect-stall", "other", "total", "PerfPref"],
     );
-    for app in APPS {
-        let ideal = run(app, cores, Config::Ideal);
-        let base = run(app, cores, Config::Base);
-        let perf = run(app, cores, Config::PerfPref);
+    let configs = [Config::Ideal, Config::Base, Config::PerfPref];
+    for (&app, [ideal, base, perf]) in APPS.iter().zip(grid(&APPS, cores, configs)) {
         let norm = base.runtime as f64 / ideal.runtime.max(1) as f64;
         let ind_stall: u64 = base
             .cores
@@ -111,21 +103,14 @@ pub fn fig02_motivation(cores: u32) -> Table {
 /// Figure 9: throughput of Baseline, IMP and Software Prefetching
 /// normalized to Perfect Prefetching, at the given core count.
 pub fn fig09_performance(cores: u32) -> Table {
-    prewarm(
-        &APPS,
-        cores,
-        &[Config::PerfPref, Config::Base, Config::Imp, Config::SwPref],
-    );
     let mut t = Table::new(
         format!("Fig 9: normalized throughput vs PerfPref, {cores} cores"),
         vec!["PerfPref", "Base", "IMP", "SW Pref"],
     );
     let mut sums = [0.0f64; 4];
-    for app in APPS {
-        let perf = run(app, cores, Config::PerfPref).runtime as f64;
-        let base = run(app, cores, Config::Base).runtime as f64;
-        let imp = run(app, cores, Config::Imp).runtime as f64;
-        let sw = run(app, cores, Config::SwPref).runtime as f64;
+    let configs = [Config::PerfPref, Config::Base, Config::Imp, Config::SwPref];
+    for (&app, stats) in APPS.iter().zip(grid(&APPS, cores, configs)) {
+        let [perf, base, imp, sw] = stats.map(|s| s.runtime as f64);
         let vals = vec![1.0, perf / base, perf / imp, perf / sw];
         for (s, v) in sums.iter_mut().zip(vals.iter()) {
             *s += v / APPS.len() as f64;
@@ -139,7 +124,6 @@ pub fn fig09_performance(cores: u32) -> Table {
 /// Table 3: prefetch coverage, accuracy and relative memory latency for
 /// the stream prefetcher alone vs stream + IMP.
 pub fn table3_effectiveness(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::PerfPref, Config::Base, Config::Imp]);
     let mut t = Table::new(
         format!("Table 3: prefetch effectiveness, {cores} cores"),
         vec![
@@ -147,11 +131,9 @@ pub fn table3_effectiveness(cores: u32) -> Table {
         ],
     );
     let mut sums = [0.0f64; 6];
-    for app in APPS {
-        let perf = run(app, cores, Config::PerfPref);
+    let configs = [Config::PerfPref, Config::Base, Config::Imp];
+    for (&app, [perf, base, imp]) in APPS.iter().zip(grid(&APPS, cores, configs)) {
         let perf_lat = perf.avg_memory_latency(1.0).max(1e-9);
-        let base = run(app, cores, Config::Base);
-        let imp = run(app, cores, Config::Imp);
         let vals = vec![
             base.coverage(),
             base.accuracy(),
@@ -172,15 +154,13 @@ pub fn table3_effectiveness(cores: u32) -> Table {
 /// Figure 10: instruction overhead of software prefetching (instruction
 /// counts normalized to Baseline).
 pub fn fig10_sw_overhead(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::Base, Config::Imp, Config::SwPref]);
     let mut t = Table::new(
         format!("Fig 10: instructions normalized to Baseline, {cores} cores"),
         vec!["Base", "IMP", "SW Pref"],
     );
-    for app in APPS {
-        let base = run(app, cores, Config::Base).total_instructions() as f64;
-        let imp = run(app, cores, Config::Imp).total_instructions() as f64;
-        let sw = run(app, cores, Config::SwPref).total_instructions() as f64;
+    let configs = [Config::Base, Config::Imp, Config::SwPref];
+    for (&app, stats) in APPS.iter().zip(grid(&APPS, cores, configs)) {
+        let [base, imp, sw] = stats.map(|s| s.total_instructions() as f64);
         t.row(app, vec![1.0, imp / base, sw / base]);
     }
     t
@@ -189,27 +169,19 @@ pub fn fig10_sw_overhead(cores: u32) -> Table {
 /// Figure 11: IMP with partial cacheline accessing (NoC only, then NoC +
 /// DRAM) normalized to Perfect Prefetching, with Ideal for reference.
 pub fn fig11_partial(cores: u32) -> Table {
-    prewarm(
-        &APPS,
-        cores,
-        &[
-            Config::PerfPref,
-            Config::Imp,
-            Config::ImpPartialNoc,
-            Config::ImpPartialNocDram,
-            Config::Ideal,
-        ],
-    );
     let mut t = Table::new(
         format!("Fig 11: partial cacheline accessing, {cores} cores"),
         vec!["IMP", "Partial NoC", "Partial NoC+DRAM", "Ideal"],
     );
-    for app in APPS {
-        let perf = run(app, cores, Config::PerfPref).runtime as f64;
-        let imp = run(app, cores, Config::Imp).runtime as f64;
-        let pn = run(app, cores, Config::ImpPartialNoc).runtime as f64;
-        let pnd = run(app, cores, Config::ImpPartialNocDram).runtime as f64;
-        let ideal = run(app, cores, Config::Ideal).runtime as f64;
+    let configs = [
+        Config::PerfPref,
+        Config::Imp,
+        Config::ImpPartialNoc,
+        Config::ImpPartialNocDram,
+        Config::Ideal,
+    ];
+    for (&app, stats) in APPS.iter().zip(grid(&APPS, cores, configs)) {
+        let [perf, imp, pn, pnd, ideal] = stats.map(|s| s.runtime as f64);
         t.row(app, vec![perf / imp, perf / pn, perf / pnd, perf / ideal]);
     }
     t
@@ -218,15 +190,13 @@ pub fn fig11_partial(cores: u32) -> Table {
 /// Figure 12: NoC and DRAM traffic of partial cacheline accessing
 /// normalized to full-line IMP.
 pub fn fig12_traffic(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::Imp, Config::ImpPartialNocDram]);
     let mut t = Table::new(
         format!("Fig 12: traffic of partial accessing vs full lines, {cores} cores"),
         vec!["NoC traffic", "DRAM traffic"],
     );
     let mut sums = [0.0f64; 2];
-    for app in APPS {
-        let full = run(app, cores, Config::Imp);
-        let part = run(app, cores, Config::ImpPartialNocDram);
+    let configs = [Config::Imp, Config::ImpPartialNocDram];
+    for (&app, [full, part]) in APPS.iter().zip(grid(&APPS, cores, configs)) {
         let vals = vec![
             part.traffic.noc_flit_hops as f64 / full.traffic.noc_flit_hops.max(1) as f64,
             part.traffic.dram_bytes() as f64 / full.traffic.dram_bytes().max(1) as f64,
@@ -244,18 +214,6 @@ pub fn fig12_traffic(cores: u32) -> Table {
 /// memory-bound and one compute-bound application, normalized to the
 /// out-of-order Baseline.
 pub fn fig13_ooo(cores: u32) -> Table {
-    prewarm(
-        &["pagerank", "sgd"],
-        cores,
-        &[
-            Config::BaseOoo,
-            Config::Base,
-            Config::Imp,
-            Config::ImpOoo,
-            Config::ImpPartialNocDram,
-            Config::ImpPartialOoo,
-        ],
-    );
     let mut t = Table::new(
         format!("Fig 13: in-order vs OoO cores, {cores} cores"),
         vec![
@@ -267,15 +225,24 @@ pub fn fig13_ooo(cores: u32) -> Table {
             "Partial ooo",
         ],
     );
-    for app in ["pagerank", "sgd"] {
-        let base_ooo = run(app, cores, Config::BaseOoo).runtime as f64;
+    let apps = ["pagerank", "sgd"];
+    let configs = [
+        Config::BaseOoo,
+        Config::Base,
+        Config::Imp,
+        Config::ImpOoo,
+        Config::ImpPartialNocDram,
+        Config::ImpPartialOoo,
+    ];
+    for (&app, stats) in apps.iter().zip(grid(&apps, cores, configs)) {
+        let [base_ooo, base, imp, imp_ooo, partial, partial_ooo] = stats.map(|s| s.runtime as f64);
         let vals = vec![
-            base_ooo / run(app, cores, Config::Base).runtime as f64,
+            base_ooo / base,
             1.0,
-            base_ooo / run(app, cores, Config::Imp).runtime as f64,
-            base_ooo / run(app, cores, Config::ImpOoo).runtime as f64,
-            base_ooo / run(app, cores, Config::ImpPartialNocDram).runtime as f64,
-            base_ooo / run(app, cores, Config::ImpPartialOoo).runtime as f64,
+            base_ooo / imp,
+            base_ooo / imp_ooo,
+            base_ooo / partial,
+            base_ooo / partial_ooo,
         ];
         t.row(app, vals);
     }
@@ -295,30 +262,28 @@ pub fn sensitivity(cores: u32, param: SweepParam) -> Table {
         format!("Sensitivity to {name}, {cores} cores (normalized to default)"),
         headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );
-    prewarm(&APPS, cores, &[Config::Imp]);
-    // The swept knob lives inside ImpConfig, so the cells run as explicit
-    // configurations fanned across threads rather than as a Sweep axis.
-    let grid: Vec<(&str, u32)> = APPS
+    // The swept knob lives inside ImpConfig, so each app's cells are its
+    // IMP cell followed by one `tune_imp` copy of it per value.
+    let sims: Vec<Sim> = APPS
         .iter()
-        .flat_map(|&app| values.iter().map(move |&v| (app, v)))
+        .flat_map(|&app| {
+            let imp = sim_for(app, cores, Config::Imp);
+            let tuned = values.iter().map(move |&v| {
+                sim_for(app, cores, Config::Imp).tune_imp(|cfg| match param {
+                    SweepParam::PtSize => cfg.pt_entries = v as usize,
+                    SweepParam::IpdSize => cfg.ipd_entries = v as usize,
+                    SweepParam::Distance => cfg.max_prefetch_distance = v,
+                })
+            });
+            std::iter::once(imp).chain(tuned)
+        })
         .collect();
-    let threads = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    let runtimes = sweep::fanout(grid.len(), threads, |i| {
-        let (app, v) = grid[i];
-        let mut cfg = runner::system_config(cores, Config::Imp);
-        match param {
-            SweepParam::PtSize => cfg.imp.pt_entries = v as usize,
-            SweepParam::IpdSize => cfg.imp.ipd_entries = v as usize,
-            SweepParam::Distance => cfg.imp.max_prefetch_distance = v,
-        }
-        run_one(app, cfg).runtime as f64
-    });
-    for (a, app) in APPS.iter().enumerate() {
-        let reference = run(app, cores, Config::Imp).runtime as f64;
-        let row: Vec<f64> = (0..values.len())
-            .map(|j| reference / runtimes[a * values.len() + j])
+    let stats = runner::run_cells(&sims);
+    for (&app, cells) in APPS.iter().zip(stats.chunks(values.len() + 1)) {
+        let reference = cells[0].runtime as f64;
+        let row: Vec<f64> = cells[1..]
+            .iter()
+            .map(|s| reference / s.runtime as f64)
             .collect();
         t.row(app, row);
     }
@@ -339,15 +304,13 @@ pub enum SweepParam {
 /// Section 6.1's GHB comparison: a correlation prefetcher on top of the
 /// stream prefetcher provides no benefit on these workloads.
 pub fn ghb_comparison(cores: u32) -> Table {
-    prewarm(&APPS, cores, &[Config::Base, Config::Ghb, Config::Imp]);
     let mut t = Table::new(
         format!("GHB vs Baseline vs IMP, {cores} cores (throughput vs Base)"),
         vec!["Base", "GHB", "IMP"],
     );
-    for app in APPS {
-        let base = run(app, cores, Config::Base).runtime as f64;
-        let ghb = run(app, cores, Config::Ghb).runtime as f64;
-        let imp = run(app, cores, Config::Imp).runtime as f64;
+    let configs = [Config::Base, Config::Ghb, Config::Imp];
+    for (&app, stats) in APPS.iter().zip(grid(&APPS, cores, configs)) {
+        let [base, ghb, imp] = stats.map(|s| s.runtime as f64);
         t.row(app, vec![1.0, base / ghb, base / imp]);
     }
     t
@@ -359,8 +322,7 @@ pub fn no_harm(cores: u32) -> Table {
         format!("No-harm check on dense workload, {cores} cores"),
         vec!["Base runtime", "IMP runtime", "IMP/Base"],
     );
-    let base = run("dense", cores, Config::Base);
-    let imp = run("dense", cores, Config::Imp);
+    let [base, imp] = grid(&["dense"], cores, [Config::Base, Config::Imp]).remove(0);
     t.row(
         "dense",
         vec![

@@ -1,18 +1,16 @@
-//! Shared simulation runner: maps the paper's named configurations onto
-//! the fluent [`Sim`] builder, runs them, and serves repeated requests
-//! from the content-addressed result store (several figures reuse the
-//! same runs, and `IMP_STORE_DIR` makes the cache survive the process —
-//! a re-run of a figure driver simulates nothing it already has).
-//! [`prewarm`] fans a figure's whole config grid across threads before
-//! the driver reads the store.
+//! The paper's named configurations as [`Sim`] builders, and the one
+//! call the figure drivers run their cells through: the sweep engine,
+//! against the result store at `IMP_STORE_DIR` when that is set. Several
+//! figures reuse the same cells, and a re-run of a driver against the
+//! same store simulates nothing the store already has.
 
 use crate::sim::Sim;
-use crate::sweep::fanout;
+use crate::sweep::run_sims;
 use imp_common::config::{CoreModel, MemMode, PartialMode, PrefetcherKind};
 use imp_common::{SystemConfig, SystemStats};
-use imp_store::{CellKey, ResultStore, StoredResult};
+use imp_store::ResultStore;
 use imp_workloads::Scale;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::OnceLock;
 
 /// The paper's evaluated configurations (Section 5.4 plus Section 4/6.3
@@ -78,20 +76,19 @@ pub fn scale_from_env() -> Scale {
     }
 }
 
-/// The runner's result store: `IMP_STORE_DIR` if set (shared across
-/// processes and runs — this is what makes figure drivers resumable),
-/// otherwise a per-process scratch directory (the old in-memory cache
-/// semantics: reuse within a run, nothing left behind to go stale).
-fn store() -> &'static ResultStore {
-    static STORE: OnceLock<ResultStore> = OnceLock::new();
-    STORE.get_or_init(|| {
-        let root = std::env::var_os("IMP_STORE_DIR").map_or_else(
-            || std::env::temp_dir().join(format!("imp-store-{}", std::process::id())),
-            PathBuf::from,
-        );
-        ResultStore::open(&root)
-            .unwrap_or_else(|e| panic!("opening result store {}: {e}", root.display()))
-    })
+/// The drivers' result store: the one at `IMP_STORE_DIR`, shared across
+/// processes and runs, or none when that is unset.
+fn store() -> Option<&'static ResultStore> {
+    static STORE: OnceLock<Option<ResultStore>> = OnceLock::new();
+    STORE
+        .get_or_init(|| {
+            let root = std::env::var_os("IMP_STORE_DIR")?;
+            let store = ResultStore::open(&root).unwrap_or_else(|e| {
+                panic!("opening result store {}: {e}", Path::new(&root).display())
+            });
+            Some(store)
+        })
+        .as_ref()
 }
 
 /// The [`Sim`] builder for `app` at `cores` under the paper
@@ -104,58 +101,44 @@ pub fn sim_for(app: &str, cores: u32, config: Config) -> Sim {
     sim
 }
 
-/// Runs `app` at `cores` under configuration `config`, served from the
-/// result store when the identical input (every timing knob, scale
-/// included — the full [`Sim::canonical_input`]) has already run.
-/// Fresh results are persisted; a failed store *write* only costs a
-/// re-simulation later, never correctness.
+/// Runs `sims` through the sweep engine against the drivers' store and
+/// returns their statistics in order. Cells that build the same input
+/// share one build, and the store serves every cell it already holds.
+/// A failed store *write* is ignored: it only costs a re-simulation
+/// later.
 ///
 /// # Panics
 ///
-/// Panics if the workload name is unknown or the configuration does
-/// not resolve.
-pub fn run(app: &str, cores: u32, config: Config) -> SystemStats {
-    let sim = sim_for(app, cores, config);
-    let canonical = sim.canonical_input().unwrap_or_else(|e| panic!("{e}"));
-    // A store read *error* (not a corrupt record — those are misses)
-    // falls through to simulation: the store is an accelerator here,
-    // never a gate.
-    if let Ok(Some(hit)) = store().get(&canonical) {
-        return hit.stats;
-    }
-    let stats = sim.run().unwrap_or_else(|e| panic!("{e}"));
-    let _ = store().put(&StoredResult {
-        canonical,
-        cell: CellKey::from(&sim),
-        stats: stats.clone(),
-    });
-    stats
+/// Panics if a cell fails or the store cannot be read.
+pub(crate) fn run_cells(sims: &[Sim]) -> Vec<SystemStats> {
+    let report = run_sims(sims, store(), None, None, |_| {}).unwrap_or_else(|e| panic!("{e}"));
+    report
+        .results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")).stats)
+        .collect()
 }
 
-/// Runs every (app, config) pair of a figure's grid in parallel, filling
-/// the store the drivers then read sequentially. Already-stored cells
-/// cost nothing; the speedup is bounded by the slowest cell.
-pub fn prewarm(apps: &[&str], cores: u32, configs: &[Config]) {
-    let grid: Vec<(&str, Config)> = apps
+/// Runs each of `apps` at `cores` under every configuration in
+/// `configs`, as one grid of [`sim_for`] cells, and returns each app's
+/// statistics in `configs` order.
+///
+/// # Panics
+///
+/// As [`run_cells`].
+pub(crate) fn grid<const N: usize>(
+    apps: &[&str],
+    cores: u32,
+    configs: [Config; N],
+) -> Vec<[SystemStats; N]> {
+    let sims: Vec<Sim> = apps
         .iter()
-        .flat_map(|&app| configs.iter().map(move |&c| (app, c)))
+        .flat_map(|&app| configs.map(|c| sim_for(app, cores, c)))
         .collect();
-    let threads = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
-    fanout(grid.len(), threads, |i| {
-        let (app, config) = grid[i];
-        run(app, cores, config);
-    });
-}
-
-/// Runs `app` under an explicit (possibly customized) system
-/// configuration; not cached.
-pub fn run_one(app: &str, cfg: SystemConfig) -> SystemStats {
-    Sim::from_config(app, cfg)
-        .scale(scale_from_env())
-        .run()
-        .unwrap_or_else(|e| panic!("{e}"))
+    let mut stats = run_cells(&sims).into_iter();
+    apps.iter()
+        .map(|_| std::array::from_fn(|_| stats.next().expect("one result per cell")))
+        .collect()
 }
 
 #[cfg(test)]
@@ -178,25 +161,23 @@ mod tests {
     }
 
     #[test]
-    fn run_caches_identical_requests_through_the_store() {
+    fn driver_grid_returns_its_sim_for_cells_in_order() {
         std::env::set_var("IMP_SCALE", "tiny");
-        let a = run("dense", 4, Config::Ideal);
-        let puts_after_first = store().counters().puts;
-        let b = run("dense", 4, Config::Ideal);
-        assert_eq!(a, b, "store round-trip is bit-identical");
-        assert!(a.runtime > 0);
-        assert!(puts_after_first >= 1, "first run persisted");
-        assert!(store().counters().hits >= 1, "second run hit the store");
-        // The canonical keys distinguish paper configs even at one
-        // (app, cores) coordinate.
-        let ideal = sim_for("dense", 4, Config::Ideal)
-            .canonical_input()
-            .unwrap();
-        let base = sim_for("dense", 4, Config::Base).canonical_input().unwrap();
-        let swpf = sim_for("dense", 4, Config::SwPref)
-            .canonical_input()
-            .unwrap();
-        assert_ne!(ideal, base);
-        assert_ne!(base, swpf, "software prefetch is part of the key");
+        // SwPref builds a different program from the other two cells.
+        let configs = [Config::Base, Config::SwPref, Config::Imp];
+        let apps = ["spmv", "sgd"];
+        let rows = grid(&apps, 4, configs);
+        assert_eq!(rows.len(), apps.len());
+        for (app, row) in apps.iter().zip(&rows) {
+            for (&config, stats) in configs.iter().zip(row) {
+                let sim = sim_for(app, 4, config);
+                assert_eq!(*stats, sim.run().unwrap(), "{app} {config:?}");
+            }
+            assert_ne!(
+                row[0].total_instructions(),
+                row[1].total_instructions(),
+                "{app}: software prefetching adds instructions"
+            );
+        }
     }
 }

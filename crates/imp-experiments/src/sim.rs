@@ -606,6 +606,17 @@ impl Sim {
         Ok(BuiltArtifact::from(built))
     }
 
+    /// Whether `other` builds the same input as this builder: the same
+    /// workload, core count, scale, seed and software-prefetch distance,
+    /// which is all [`Sim::build_artifact`] reads.
+    pub(crate) fn same_input(&self, other: &Sim) -> bool {
+        self.workload == other.workload
+            && self.cores == other.cores
+            && self.scale == other.scale
+            && self.seed == other.seed
+            && self.sw_prefetch == other.sw_prefetch
+    }
+
     /// Runs this builder's configuration over an already-built artifact.
     ///
     /// The artifact's streams and memory image are shared into the

@@ -16,12 +16,13 @@
 //! prefetcher or partial mode run the *same* generated input (the
 //! comparison the paper's figures make).
 //!
-//! Cells sharing an input do not rebuild it: the grid is grouped by its
-//! distinct (workload, cores, seed) coordinates — scale and
-//! software-prefetch settings come from the template and are constant
-//! across the grid — each group's [`imp_workloads::BuiltArtifact`] is
-//! built exactly once, from one of the group's own cells, and the
-//! group's cells fan out over the shared artifact ([`Sim::run_on`]).
+//! Cells sharing an input do not rebuild it: the grid is grouped by the
+//! input each cell builds — its workload, cores, scale, seed and
+//! software-prefetch distance — each group's
+//! [`imp_workloads::BuiltArtifact`] is built exactly once, from one of
+//! the group's own cells, and the group's cells fan out over the shared
+//! artifact ([`Sim::run_on`]). The figure drivers run their cells
+//! through the same engine.
 //! Because artifacts are immutable to the simulator, the statistics are
 //! bit-identical to rebuilding per cell; only the wall-clock changes.
 //!
@@ -404,7 +405,7 @@ impl Sweep {
     /// `Sim::page_policy`-style override set applied to the workload's
     /// regions (an empty set keeps every declared policy — the all-4K
     /// baseline). Placement is translation-only, so the whole axis
-    /// shares one built artifact per (workload, cores, seed) input;
+    /// shares one built artifact per generated input;
     /// see [`Sweep::page_sizes`] for how an ideal template upgrades.
     #[must_use]
     pub fn page_policies<I, O, S>(self, sets: I) -> Self
@@ -499,9 +500,9 @@ impl Sweep {
     ///
     /// This is [`Sweep::run_with`] against the [`Sweep::store`], if one
     /// was set; without one, it runs the same path with no store to
-    /// read or fill. Each distinct (workload, cores, seed) input is
-    /// built exactly once and shared read-only across the cells that
-    /// use it; a failed build is reported by every cell of its group.
+    /// read or fill. Each distinct input is built exactly once and
+    /// shared read-only across the cells that use it; a failed build is
+    /// reported by every cell of its group.
     ///
     /// # Errors
     ///
@@ -546,191 +547,204 @@ impl Sweep {
         self.run_in(Some(store), on_cell)
     }
 
-    /// The one run path: probe each cell in `store` (when there is
-    /// one), build the inputs of the cells it misses, simulate those
-    /// cells, and deliver every outcome in cell order.
+    /// The one run path: the cross product through [`run_sims`].
     #[allow(clippy::result_large_err)]
-    fn run_in<F>(
-        &self,
-        store: Option<&ResultStore>,
-        mut on_cell: F,
-    ) -> Result<SweepReport, SimError>
+    fn run_in<F>(&self, store: Option<&ResultStore>, on_cell: F) -> Result<SweepReport, SimError>
     where
         F: FnMut(&CellOutcome),
     {
         if let Some(e) = &self.spec_error {
             return Err(SimError::InvalidSpec(e.clone()));
         }
-        let sims = self.sims();
-        let cells: Vec<SweepCell> = sims.iter().map(SweepCell::from).collect();
-        let n = cells.len();
+        run_sims(&self.sims(), store, self.threads, self.observe, on_cell)
+    }
+}
 
-        // Probe phase: resolve each cell's canonical input and look it
-        // up. Sequential and cheap — config resolution plus one read
-        // per cell; no workload is built here.
-        type CellRun = Result<(SystemStats, Option<ObsSummary>), SimError>;
-        let mut canonicals: Vec<String> = Vec::with_capacity(n);
-        let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
-        let mut cached_flags = vec![false; n];
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, sim) in sims.iter().enumerate() {
-            match sim.canonical_input() {
-                Ok(canonical) => {
-                    let hit = match store {
-                        Some(store) => store
-                            .get(&canonical)
-                            .map_err(|e| SimError::Store(e.to_string()))?,
-                        None => None,
+/// The grid engine under [`Sweep`] and the figure drivers: probe each
+/// of `sims` in `store` (when there is one), build the inputs of the
+/// cells it misses, simulate those cells on up to `threads` workers
+/// (default: the available parallelism), observing them when `observe`
+/// is set, and deliver every outcome to `on_cell` in cell order. Cells
+/// that build the same input share one build.
+///
+/// # Errors
+///
+/// A store that cannot be *read* fails the whole run; per-cell failures
+/// come back in their result slots.
+#[allow(clippy::result_large_err)]
+pub(crate) fn run_sims<F>(
+    sims: &[Sim],
+    store: Option<&ResultStore>,
+    threads: Option<usize>,
+    observe: Option<ObsConfig>,
+    mut on_cell: F,
+) -> Result<SweepReport, SimError>
+where
+    F: FnMut(&CellOutcome),
+{
+    let cells: Vec<SweepCell> = sims.iter().map(SweepCell::from).collect();
+    let n = cells.len();
+
+    // Probe phase: resolve each cell's canonical input and look it
+    // up. Sequential and cheap — config resolution plus one read
+    // per cell; no workload is built here.
+    type CellRun = Result<(SystemStats, Option<ObsSummary>), SimError>;
+    let mut canonicals: Vec<String> = Vec::with_capacity(n);
+    let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
+    let mut cached_flags = vec![false; n];
+    let mut missing: Vec<usize> = Vec::new();
+    for (i, sim) in sims.iter().enumerate() {
+        match sim.canonical_input() {
+            Ok(canonical) => {
+                let hit = match store {
+                    Some(store) => store
+                        .get(&canonical)
+                        .map_err(|e| SimError::Store(e.to_string()))?,
+                    None => None,
+                };
+                match hit {
+                    Some(record) => {
+                        cached_flags[i] = true;
+                        slots.push(Some(Ok((record.stats, None))));
+                    }
+                    None => {
+                        missing.push(i);
+                        slots.push(None);
+                    }
+                }
+                canonicals.push(canonical);
+            }
+            Err(e) => {
+                // The configuration itself is invalid: the cell can
+                // never be cached, and simulating would fail the
+                // same way. Fail it now without touching the store.
+                canonicals.push(format!("<unresolved config: {e}>"));
+                slots.push(Some(Err(e)));
+            }
+        }
+    }
+
+    // Build phase: only the groups that still have missing cells,
+    // each from its first missing cell.
+    let threads = threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(usize::from)
+                .unwrap_or(1)
+        })
+        .min(missing.len().max(1));
+    let (firsts, group_of) = input_groups(sims, &missing);
+    let artifacts = fanout(firsts.len(), threads, |g| sims[firsts[g]].build_artifact());
+
+    // Simulate the missing cells across workers while the calling
+    // thread delivers outcomes in deterministic cell order; a
+    // reorder slot buffers cells that finish early.
+    let store_error: Mutex<Option<String>> = Mutex::new(None);
+    let mut report = SweepReport {
+        results: Vec::with_capacity(n),
+        cached: cached_flags.iter().filter(|&&c| c).count(),
+        simulated: 0,
+        failed: 0,
+        store_error: None,
+    };
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, CellRun)>();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let cells = &cells;
+        let canonicals = &canonicals;
+        let missing = &missing;
+        let artifacts = &artifacts;
+        let group_of = &group_of;
+        let next = &next;
+        let store_error = &store_error;
+        for _ in 0..threads.min(missing.len()) {
+            let tx = tx.clone();
+            scope.spawn(move || loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= missing.len() {
+                    break;
+                }
+                let i = missing[k];
+                let outcome = artifacts[group_of[k]]
+                    .as_ref()
+                    .map_err(Clone::clone)
+                    .and_then(|artifact| run_cell(&sims[i], artifact, observe));
+                if let (Some(store), Ok((stats, _))) = (store, &outcome) {
+                    let record = StoredResult {
+                        canonical: canonicals[i].clone(),
+                        cell: cells[i].clone(),
+                        stats: stats.clone(),
                     };
-                    match hit {
-                        Some(record) => {
-                            cached_flags[i] = true;
-                            slots.push(Some(Ok((record.stats, None))));
-                        }
-                        None => {
-                            missing.push(i);
-                            slots.push(None);
-                        }
+                    if let Err(e) = store.put(&record) {
+                        store_error
+                            .lock()
+                            .expect("store-error slot")
+                            .get_or_insert_with(|| e.to_string());
                     }
-                    canonicals.push(canonical);
                 }
-                Err(e) => {
-                    // The configuration itself is invalid: the cell can
-                    // never be cached, and simulating would fail the
-                    // same way. Fail it now without touching the store.
-                    canonicals.push(format!("<unresolved config: {e}>"));
-                    slots.push(Some(Err(e)));
+                if tx.send((i, outcome)).is_err() {
+                    break;
                 }
-            }
+            });
         }
+        drop(tx);
 
-        // Build phase: only the groups that still have missing cells,
-        // each from its first missing cell.
-        let threads = self.thread_count(missing.len());
-        let (firsts, group_of) = input_groups(&cells, &missing);
-        let artifacts = fanout(firsts.len(), threads, |g| sims[firsts[g]].build_artifact());
-
-        // Simulate the missing cells across workers while the calling
-        // thread delivers outcomes in deterministic cell order; a
-        // reorder slot buffers cells that finish early.
-        let store_error: Mutex<Option<String>> = Mutex::new(None);
-        let mut report = SweepReport {
-            results: Vec::with_capacity(n),
-            cached: cached_flags.iter().filter(|&&c| c).count(),
-            simulated: 0,
-            failed: 0,
-            store_error: None,
-        };
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, CellRun)>();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let sims = &sims;
-            let cells = &cells;
-            let canonicals = &canonicals;
-            let missing = &missing;
-            let artifacts = &artifacts;
-            let group_of = &group_of;
-            let next = &next;
-            let store_error = &store_error;
-            for _ in 0..threads.min(missing.len()) {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= missing.len() {
-                        break;
-                    }
-                    let i = missing[k];
-                    let outcome = artifacts[group_of[k]]
-                        .as_ref()
-                        .map_err(Clone::clone)
-                        .and_then(|artifact| self.run_cell(&sims[i], artifact));
-                    if let (Some(store), Ok((stats, _))) = (store, &outcome) {
-                        let record = StoredResult {
-                            canonical: canonicals[i].clone(),
-                            cell: cells[i].clone(),
-                            stats: stats.clone(),
-                        };
-                        if let Err(e) = store.put(&record) {
-                            store_error
-                                .lock()
-                                .expect("store-error slot")
-                                .get_or_insert_with(|| e.to_string());
-                        }
-                    }
-                    if tx.send((i, outcome)).is_err() {
-                        break;
-                    }
-                });
+        let mut delivered = 0;
+        while delivered < n {
+            if slots[delivered].is_none() {
+                // Wait for workers; any cell may arrive, only the
+                // next-in-order one unblocks delivery.
+                let (i, outcome) = rx.recv().expect("workers outlive the channel");
+                slots[i] = Some(outcome);
+                continue;
             }
-            drop(tx);
-
-            let mut delivered = 0;
-            while delivered < n {
-                if slots[delivered].is_none() {
-                    // Wait for workers; any cell may arrive, only the
-                    // next-in-order one unblocks delivery.
-                    let (i, outcome) = rx.recv().expect("workers outlive the channel");
-                    slots[i] = Some(outcome);
-                    continue;
+            let cell = cells[delivered].clone();
+            let result = match slots[delivered].take().expect("slot filled") {
+                Ok((stats, obs)) => {
+                    if !cached_flags[delivered] {
+                        report.simulated += 1;
+                    }
+                    Ok(SweepResult { cell, stats, obs })
                 }
-                let cell = cells[delivered].clone();
-                let result = match slots[delivered].take().expect("slot filled") {
-                    Ok((stats, obs)) => {
-                        if !cached_flags[delivered] {
-                            report.simulated += 1;
-                        }
-                        Ok(SweepResult { cell, stats, obs })
-                    }
-                    Err(error) => {
-                        report.failed += 1;
-                        Err(SweepCellError {
-                            canonical: canonicals[delivered].clone(),
-                            cell,
-                            error,
-                        })
-                    }
-                };
-                let outcome = CellOutcome {
-                    index: delivered,
-                    canonical: canonicals[delivered].clone(),
-                    digest: cell_digest(&canonicals[delivered]),
-                    cached: cached_flags[delivered],
-                    result,
-                };
-                on_cell(&outcome);
-                report.results.push(outcome.result);
-                delivered += 1;
-            }
-        });
-        report.store_error = store_error.into_inner().expect("store-error slot");
-        Ok(report)
-    }
-
-    /// Runs one cell over its shared artifact, observing when
-    /// [`Sweep::observe`] asked for it. Statistics are identical either
-    /// way; only the summary is extra.
-    fn run_cell(
-        &self,
-        sim: &Sim,
-        artifact: &BuiltArtifact,
-    ) -> Result<(SystemStats, Option<ObsSummary>), SimError> {
-        match self.observe.filter(ObsConfig::enabled) {
-            Some(cfg) => {
-                let (stats, report) = sim.clone().observe(cfg).run_observed_on(artifact)?;
-                Ok((stats, Some(report.summary())))
-            }
-            None => Ok((sim.run_on(artifact)?, None)),
+                Err(error) => {
+                    report.failed += 1;
+                    Err(SweepCellError {
+                        canonical: canonicals[delivered].clone(),
+                        cell,
+                        error,
+                    })
+                }
+            };
+            let outcome = CellOutcome {
+                index: delivered,
+                canonical: canonicals[delivered].clone(),
+                digest: cell_digest(&canonicals[delivered]),
+                cached: cached_flags[delivered],
+                result,
+            };
+            on_cell(&outcome);
+            report.results.push(outcome.result);
+            delivered += 1;
         }
-    }
+    });
+    report.store_error = store_error.into_inner().expect("store-error slot");
+    Ok(report)
+}
 
-    fn thread_count(&self, work: usize) -> usize {
-        self.threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(usize::from)
-                    .unwrap_or(1)
-            })
-            .min(work.max(1))
+/// Runs one cell over its shared artifact, observing at `observe` when
+/// that is enabled. Statistics are identical either way; only the
+/// summary is extra.
+fn run_cell(
+    sim: &Sim,
+    artifact: &BuiltArtifact,
+    observe: Option<ObsConfig>,
+) -> Result<(SystemStats, Option<ObsSummary>), SimError> {
+    match observe.filter(ObsConfig::enabled) {
+        Some(cfg) => {
+            let (stats, report) = sim.clone().observe(cfg).run_observed_on(artifact)?;
+            Ok((stats, Some(report.summary())))
+        }
+        None => Ok((sim.run_on(artifact)?, None)),
     }
 }
 
@@ -743,20 +757,17 @@ fn cell_seed(base: u64, workload: &str, cores: u32) -> u64 {
     SplitMix64::new(base ^ h ^ u64::from(cores)).next_u64()
 }
 
-/// Groups the `members` of `cells` by the input they run on (workload,
-/// cores, seed; scale and software prefetching come from the template).
-/// Returns each group's first member and, per member, its group.
-fn input_groups(cells: &[SweepCell], members: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let same_input = |a: &SweepCell, b: &SweepCell| {
-        a.workload == b.workload && a.cores == b.cores && a.seed == b.seed
-    };
+/// Groups the `members` of `sims` by the input they build (see
+/// [`Sim::same_input`]). Returns each group's first member and, per
+/// member, its group.
+fn input_groups(sims: &[Sim], members: &[usize]) -> (Vec<usize>, Vec<usize>) {
     let mut firsts: Vec<usize> = Vec::new();
     let group_of = members
         .iter()
         .map(|&i| {
             firsts
                 .iter()
-                .position(|&f| same_input(&cells[f], &cells[i]))
+                .position(|&f| sims[f].same_input(&sims[i]))
                 .unwrap_or_else(|| {
                     firsts.push(i);
                     firsts.len() - 1
@@ -768,7 +779,7 @@ fn input_groups(cells: &[SweepCell], members: &[usize]) -> (Vec<usize>, Vec<usiz
 
 /// Runs `f(0..n)` on up to `threads` scoped workers; results come back
 /// in index order.
-pub(crate) fn fanout<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+fn fanout<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

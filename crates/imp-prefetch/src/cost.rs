@@ -5,7 +5,7 @@
 //! IPD 3.5 Kbits (total 5.5 Kbits ≈ 0.7 KB), the Granularity Predictor
 //! 3.4 Kbits, and sector valid masks add 1.6% / 0.4% to L1 / L2.
 
-use imp_common::{ImpConfig, MemConfig};
+use imp_common::{ImpConfig, MemConfig, LINE_BYTES};
 
 /// Bits of a virtual address (Section 6.4.1 assumes 48).
 pub const ADDRESS_BITS: u64 = 48;
@@ -84,8 +84,8 @@ pub fn gp_entry_bits(cfg: &ImpConfig) -> u64 {
 /// Computes the full storage breakdown for an IMP configuration attached
 /// to the given memory hierarchy.
 pub fn storage_cost(imp: &ImpConfig, mem: &MemConfig) -> StorageCost {
-    let l1_lines = mem.l1d.size_bytes / mem.line_bytes;
-    let l2_lines = mem.l2_slice.size_bytes / mem.line_bytes;
+    let l1_lines = mem.l1d.size_bytes / LINE_BYTES;
+    let l2_lines = mem.l2_slice.size_bytes / LINE_BYTES;
     StorageCost {
         pt_bits: (imp.pt_entries as u64) * pt_entry_bits(imp),
         ipd_bits: (imp.ipd_entries as u64) * ipd_entry_bits(imp),

@@ -34,7 +34,7 @@ use crate::ghb::Ghb;
 use crate::hybrid::Hybrid;
 use crate::imp::Imp;
 use crate::stream::StreamPrefetcher;
-use imp_common::config::{ImpConfig, PrefetcherSpec};
+use imp_common::config::{ImpConfig, ParamError, PrefetcherSpec};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -101,6 +101,16 @@ impl fmt::Display for RegistryError {
 }
 
 impl std::error::Error for RegistryError {}
+
+impl From<ParamError> for RegistryError {
+    fn from(e: ParamError) -> Self {
+        RegistryError::InvalidParam {
+            prefetcher: e.spec,
+            param: e.param,
+            reason: e.reason,
+        }
+    }
+}
 
 /// Builds prefetcher instances from a [`PrefetcherSpec`].
 ///
@@ -257,46 +267,11 @@ pub fn registered_names() -> Vec<String> {
 // Stock factories
 // ----------------------------------------------------------------------
 
-fn reject_unknown_params(spec: &PrefetcherSpec, accepted: &[&str]) -> Result<(), RegistryError> {
-    for key in spec.params.keys() {
-        if !accepted.contains(&key.as_str()) {
-            return Err(RegistryError::InvalidParam {
-                prefetcher: spec.name.clone(),
-                param: key.clone(),
-                reason: format!("accepted parameters: {}", accepted.join(", ")),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn param_usize(spec: &PrefetcherSpec, key: &str, default: usize) -> Result<usize, RegistryError> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_usize().ok_or_else(|| RegistryError::InvalidParam {
-            prefetcher: spec.name.clone(),
-            param: key.to_string(),
-            reason: format!("expected a non-negative integer, got {v}"),
-        }),
-    }
-}
-
-fn param_u32(spec: &PrefetcherSpec, key: &str, default: u32) -> Result<u32, RegistryError> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_u32().ok_or_else(|| RegistryError::InvalidParam {
-            prefetcher: spec.name.clone(),
-            param: key.to_string(),
-            reason: format!("expected a non-negative integer, got {v}"),
-        }),
-    }
-}
-
 fn build_none(
     spec: &PrefetcherSpec,
     _ctx: &BuildCtx<'_>,
 ) -> Result<Box<dyn L1Prefetcher>, RegistryError> {
-    reject_unknown_params(spec, &[])?;
+    spec.reject_unknown_params(&[])?;
     Ok(Box::new(crate::access::NullPrefetcher::new()))
 }
 
@@ -304,11 +279,11 @@ fn build_stream(
     spec: &PrefetcherSpec,
     ctx: &BuildCtx<'_>,
 ) -> Result<Box<dyn L1Prefetcher>, RegistryError> {
-    reject_unknown_params(spec, &["entries", "threshold", "distance"])?;
+    spec.reject_unknown_params(&["entries", "threshold", "distance"])?;
     Ok(Box::new(StreamPrefetcher::new(
-        param_usize(spec, "entries", ctx.imp.pt_entries)?,
-        param_u32(spec, "threshold", ctx.imp.stream_threshold)?,
-        param_u32(spec, "distance", ctx.imp.stream_distance)?,
+        spec.param_usize("entries", ctx.imp.pt_entries)?,
+        spec.param_u32("threshold", ctx.imp.stream_threshold)?,
+        spec.param_u32("distance", ctx.imp.stream_distance)?,
     )))
 }
 
@@ -316,37 +291,27 @@ fn build_imp(
     spec: &PrefetcherSpec,
     ctx: &BuildCtx<'_>,
 ) -> Result<Box<dyn L1Prefetcher>, RegistryError> {
-    reject_unknown_params(
-        spec,
-        &[
-            "pt_entries",
-            "ipd_entries",
-            "distance",
-            "max_ways",
-            "max_levels",
-            "seed",
-            "depth",
-        ],
-    )?;
+    spec.reject_unknown_params(&[
+        "pt_entries",
+        "ipd_entries",
+        "distance",
+        "max_ways",
+        "max_levels",
+        "seed",
+        "depth",
+    ])?;
     let mut cfg = ctx.imp.clone();
-    cfg.pt_entries = param_usize(spec, "pt_entries", cfg.pt_entries)?;
-    cfg.ipd_entries = param_usize(spec, "ipd_entries", cfg.ipd_entries)?;
-    cfg.max_prefetch_distance = param_u32(spec, "distance", cfg.max_prefetch_distance)?;
-    cfg.max_ways = param_usize(spec, "max_ways", cfg.max_ways)?;
-    cfg.max_levels = param_usize(spec, "max_levels", cfg.max_levels)?;
-    let seed = match spec.get("seed") {
-        None => 0x1_000 + u64::from(ctx.core),
-        Some(v) => v.as_u64().ok_or_else(|| RegistryError::InvalidParam {
-            prefetcher: spec.name.clone(),
-            param: "seed".to_string(),
-            reason: format!("expected a non-negative integer, got {v}"),
-        })?,
-    };
+    cfg.pt_entries = spec.param_usize("pt_entries", cfg.pt_entries)?;
+    cfg.ipd_entries = spec.param_usize("ipd_entries", cfg.ipd_entries)?;
+    cfg.max_prefetch_distance = spec.param_u32("distance", cfg.max_prefetch_distance)?;
+    cfg.max_ways = spec.param_usize("max_ways", cfg.max_ways)?;
+    cfg.max_levels = spec.param_usize("max_levels", cfg.max_levels)?;
+    let seed = spec.param_u64("seed", 0x1_000 + u64::from(ctx.core))?;
     // `imp:depth=N` bounds chained indirection: data prefetches chase up
     // to N + 1 hops, translation prefetching one hop further. The
     // default of 1 is the paper's single-level detector, bit-identical
     // to builds that predate the knob.
-    let depth = param_u32(spec, "depth", 1)?;
+    let depth = spec.param_u32("depth", 1)?;
     if depth == 0 || depth > 8 {
         return Err(RegistryError::InvalidParam {
             prefetcher: spec.name.clone(),
@@ -363,12 +328,12 @@ fn build_ghb(
     spec: &PrefetcherSpec,
     _ctx: &BuildCtx<'_>,
 ) -> Result<Box<dyn L1Prefetcher>, RegistryError> {
-    reject_unknown_params(spec, &["entries", "degree"])?;
+    spec.reject_unknown_params(&["entries", "degree"])?;
     // Unset knobs take the `Ghb::paper_default()` values (512 entries,
     // degree 2), so overriding one never silently shifts the other.
     Ok(Box::new(Ghb::new(
-        param_usize(spec, "entries", 512)?,
-        param_usize(spec, "degree", 2)?,
+        spec.param_usize("entries", 512)?,
+        spec.param_usize("degree", 2)?,
     )))
 }
 
@@ -380,7 +345,7 @@ fn build_hybrid(
     spec: &PrefetcherSpec,
     ctx: &BuildCtx<'_>,
 ) -> Result<Box<dyn L1Prefetcher>, RegistryError> {
-    reject_unknown_params(spec, &["components"])?;
+    spec.reject_unknown_params(&["components"])?;
     let list = match spec.get("components") {
         None => "stream+imp".to_string(),
         Some(v) => v

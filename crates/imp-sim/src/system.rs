@@ -18,7 +18,8 @@ use imp_common::stats::{
     AccessClass, CoreStats, PrefetchStats, SystemStats, TlbStats, TrafficStats,
 };
 use imp_common::{
-    Addr, Cycle, EventQueue, FastMap, LineAddr, SectorMask, SystemConfig, LINE_BYTES,
+    Addr, Cycle, EventQueue, FastMap, LineAddr, SectorMask, SystemConfig, L2_SECTOR_BYTES,
+    LINE_BYTES,
 };
 use imp_cpu::{CoreBlock, CoreEngine, InOrderCore, MemPort, MemResult, OooCore};
 use imp_dram::{Ddr3Dram, Ddr3Timing, DramModel, FixedLatencyDram};
@@ -918,7 +919,7 @@ impl Fabric {
             .iter()
             .position(|&t| t == u32::from(msg.dst))
             .expect("MemRead delivered to a non-MC tile");
-        let bytes = u64::from(msg.sectors.count()) * 32;
+        let bytes = u64::from(msg.sectors.count()) * L2_SECTOR_BYTES;
         let done = self.drams[mc].access(now, msg.line.base().raw(), bytes, false);
         self.traffic.dram_read_bytes += bytes;
         self.traffic.dram_accesses += 1;
@@ -938,7 +939,7 @@ impl Fabric {
             .iter()
             .position(|&t| t == u32::from(msg.dst))
             .expect("MemWrite delivered to a non-MC tile");
-        let bytes = u64::from(msg.payload_bytes).max(32);
+        let bytes = u64::from(msg.payload_bytes).max(L2_SECTOR_BYTES);
         let _ = self.drams[mc].access(now, msg.line.base().raw(), bytes, true);
         self.traffic.dram_write_bytes += bytes;
         self.traffic.dram_accesses += 1;
@@ -1291,13 +1292,13 @@ impl WalkMemory for Fabric {
 }
 
 impl MemPort for Fabric {
-    fn access(&mut self, core: u32, op: &imp_trace::Op, now: Cycle) -> MemResult {
+    fn access(&mut self, core: u32, op: &imp_trace::Op, now: Cycle) -> (MemResult, Cycle) {
         let c = core as usize;
         let addr = op.mem_addr();
         let line = LineAddr::containing(addr);
         let is_write = op.kind == OpKind::Store;
         match self.cfg.mem_mode {
-            MemMode::Ideal => MemResult::Hit(now + self.cfg.mem.l1d.latency),
+            MemMode::Ideal => (MemResult::Hit(now + self.cfg.mem.l1d.latency), 0),
             MemMode::PerfectPrefetch => {
                 let hit = matches!(
                     self.shadow[c].demand_access(line, SectorMask::FULL_L1, is_write),
@@ -1323,10 +1324,10 @@ impl MemPort for Fabric {
                         let token = self.next_token;
                         self.next_token += 1;
                         self.pp_blocked[c] = Some((front, token));
-                        return MemResult::Miss(token);
+                        return (MemResult::Miss(token), 0);
                     }
                 }
-                MemResult::Hit(now + self.cfg.mem.l1d.latency)
+                (MemResult::Hit(now + self.cfg.mem.l1d.latency), 0)
             }
             MemMode::Realistic => {
                 // Demand accesses stall for the page-table walk before
@@ -1336,7 +1337,7 @@ impl MemPort for Fabric {
                 // TLB the walk is 0 and this path is byte-for-byte the
                 // pre-imp-vm behavior.
                 let walk = self.demand_translate(c, addr, now);
-                self.realistic_access(c, op, now + walk).with_walk(walk)
+                (self.realistic_access(c, op, now + walk), walk)
             }
         }
     }

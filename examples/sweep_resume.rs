@@ -8,7 +8,8 @@
 //!
 //! The store lives at `IMP_STORE_DIR` if set (point two invocations at
 //! the same directory and the second simulates zero cells — the CI
-//! smoke test does exactly this), else a fresh temp directory.
+//! smoke test does exactly this), else a fresh temp directory that the
+//! example removes when it is done.
 //!
 //! ```text
 //! cargo run --release --example sweep_resume
@@ -25,7 +26,8 @@ fn grid(prefetchers: &[&str]) -> Sweep {
 }
 
 fn main() {
-    let root = std::env::var_os("IMP_STORE_DIR").map_or_else(
+    let named = std::env::var_os("IMP_STORE_DIR");
+    let root = named.clone().map_or_else(
         || std::env::temp_dir().join(format!("imp-sweep-resume-{}", std::process::id())),
         std::path::PathBuf::from,
     );
@@ -95,4 +97,7 @@ fn main() {
     }
     println!("merged grid is bit-identical to a from-scratch run of all {m} cells");
     println!("resume: simulated {simulated_total} of {cells_total} cell-runs this invocation");
+    if named.is_none() {
+        std::fs::remove_dir_all(&root).expect("remove the scratch store");
+    }
 }

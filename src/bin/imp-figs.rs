@@ -9,13 +9,17 @@
 //! panel each), `storage` simulates nothing, and every other figure
 //! runs at 64 cores. `--cores` replaces the default of every figure
 //! that simulates. `IMP_SCALE` sets the input size and `IMP_STORE_DIR`
-//! the result store, as for the drivers themselves.
+//! the result store, as for the drivers themselves. Figures share
+//! cells, so with `IMP_STORE_DIR` unset the run uses a scratch store in
+//! the temp directory and removes it before it exits, also when a figure
+//! panics.
 //!
 //! Every argument is checked before any figure runs; a bad one prints
 //! the reason and the usage to stderr and exits with status 2.
 
 use imp::experiments::{self as ex, SweepParam, Table, CORE_COUNTS};
 use imp::sim::Sim;
+use std::path::PathBuf;
 
 /// How a figure makes its tables.
 enum Driver {
@@ -79,6 +83,15 @@ fn parse_cores(list: &str) -> Vec<u32> {
         .collect()
 }
 
+/// A result store this process made; dropping it deletes the directory.
+struct ScratchStore(PathBuf);
+
+impl Drop for ScratchStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn main() {
     let mut cores: Option<Vec<u32>> = None;
     let mut figures: Vec<&Driver> = Vec::new();
@@ -100,6 +113,12 @@ fn main() {
     if figures.is_empty() {
         fail("no figure named");
     }
+    // Set before the first figure opens the drivers' store.
+    let _scratch = std::env::var_os("IMP_STORE_DIR").is_none().then(|| {
+        let dir = std::env::temp_dir().join(format!("imp-figs-{}", std::process::id()));
+        std::env::set_var("IMP_STORE_DIR", &dir);
+        ScratchStore(dir)
+    });
     for driver in figures {
         match *driver {
             Driver::Cores(defaults, table) => {

@@ -133,7 +133,7 @@ pub mod prelude {
     };
     pub use imp_common::stats::{AccessClass, SystemStats, TlbStats};
     pub use imp_common::{Addr, ImpConfig, LineAddr, Pc, SystemConfig};
-    pub use imp_experiments::{run as run_experiment, Config as ExperimentConfig};
+    pub use imp_experiments::Config as ExperimentConfig;
     pub use imp_experiments::{
         CellOutcome, Sim, SimError, Sweep, SweepCell, SweepReport, SweepRequest, SweepResult,
     };

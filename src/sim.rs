@@ -43,10 +43,10 @@
 //! }
 //! ```
 //!
-//! `Sweep::run` builds each distinct (workload, cores, seed) input
-//! exactly once and fans the cells that use it out over the shared,
-//! immutable artifact — bit-identical to rebuilding per cell,
-//! just faster. `Sweep::run_partial` returns per-cell `Result`s so one
+//! `Sweep::run` builds each distinct input (workload, cores, scale,
+//! seed, software-prefetch distance) exactly once and fans the cells
+//! that use it out over the shared, immutable artifact — bit-identical
+//! to rebuilding per cell, just faster. `Sweep::run_partial` returns per-cell `Result`s so one
 //! bad cell doesn't discard a finished grid. For explicit sharing and
 //! `.imptrace` record/replay, see [`Sim::build_artifact`],
 //! [`Sim::run_on`] and the `trace_record` example.

@@ -40,6 +40,27 @@ fn cores_flag_replaces_the_default() {
 }
 
 #[test]
+fn figures_leave_nothing_in_the_temp_dir() {
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figs-cli-tmpdir");
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).expect("create the temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_imp-figs"))
+        .args(["--cores", "4", "no_harm"])
+        .env("IMP_SCALE", "tiny")
+        .env("TMPDIR", &tmp)
+        .env_remove("IMP_STORE_DIR")
+        .output()
+        .expect("imp-figs starts");
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let left: Vec<_> = std::fs::read_dir(&tmp)
+        .expect("read the temp dir")
+        .map(|entry| entry.expect("temp dir entry").path())
+        .collect();
+    std::fs::remove_dir_all(&tmp).ok();
+    assert!(left.is_empty(), "imp-figs left {left:?}");
+}
+
+#[test]
 fn bad_arguments_exit_2_before_any_figure_runs() {
     for args in [
         &["--cores", "48", "fig09"][..],
