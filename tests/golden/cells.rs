@@ -86,5 +86,21 @@ pub fn cells() -> Vec<(String, Sim)> {
             .page_size(256)
             .page_policy("parent", PagePolicy::Huge2M),
     ));
+    // The managed, finite-TLB path: impbench `translate`'s spmv cell at
+    // Tiny. A Tiny run lasts about 13 000 cycles, so the default
+    // 10 000-cycle epoch would close once and change nothing; 1000-cycle
+    // epochs let the tree's controls reach the statistics.
+    cells.push((
+        "spmv/imp/tree-tlb".into(),
+        Sim::workload("spmv")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp")
+            .tlb(TlbConfig::finite())
+            .l2_tlb(64, 8)
+            .tlb_prefetch(true)
+            .walk_model(WalkModel::Cached)
+            .manager("tree:epoch=1000"),
+    ));
     cells
 }

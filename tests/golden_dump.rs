@@ -11,7 +11,7 @@ mod golden;
 
 use imp::common::fnv1a;
 
-const DIGESTS: [(&str, u64); 15] = [
+const DIGESTS: [(&str, u64); 16] = [
     ("spmv/none", 0xe4a1_5ddd_1a92_1490),
     ("spmv/stream", 0xb1a4_1497_1462_80c5),
     ("spmv/imp", 0xd04b_32e0_e8a2_71e4),
@@ -27,6 +27,7 @@ const DIGESTS: [(&str, u64); 15] = [
     ("lsh/imp/partial", 0x3487_7f83_2276_a73b),
     ("spmv/imp/mixed-huge", 0x6c3c_abe6_c2bb_a2b6),
     ("graph500/imp/huge-nonblocking", 0xc181_bf88_164f_6e17),
+    ("spmv/imp/tree-tlb", 0x624a_a0ad_6302_3755),
 ];
 
 #[test]
