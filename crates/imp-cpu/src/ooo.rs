@@ -8,7 +8,7 @@ use imp_common::stats::{AccessClass, CoreStats};
 use imp_common::{Cycle, LineAddr, Pc};
 use imp_obs::CoreProbe;
 use imp_trace::{Op, OpKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 #[derive(Clone, Copy, Debug)]
@@ -30,13 +30,13 @@ pub struct OooCore {
     rob: VecDeque<RobSlot>,
     rob_cap: usize,
     last_dispatch: Cycle,
-    /// Completion time of recent loads by sequence number.
-    load_complete: HashMap<u64, Option<Cycle>>,
-    /// Sequence numbers of the most recent loads, newest last.
-    recent_loads: VecDeque<u64>,
+    /// The most recent loads, newest last: each one's sequence number
+    /// and completion time (`None` while its miss is outstanding).
+    recent_loads: VecDeque<(u64, Option<Cycle>)>,
     next_load_seq: u64,
-    /// Outstanding memory tokens -> (load sequence number, PC, line).
-    tokens: HashMap<u64, (u64, Pc, LineAddr)>,
+    /// Outstanding misses: (token, load sequence number, PC, line). One
+    /// per incomplete ROB slot at most.
+    tokens: Vec<(u64, u64, Pc, LineAddr)>,
     stats: CoreStats,
     probe: CoreProbe,
 }
@@ -54,10 +54,9 @@ impl OooCore {
             rob: VecDeque::with_capacity(rob_cap),
             rob_cap,
             last_dispatch: 0,
-            load_complete: HashMap::new(),
-            recent_loads: VecDeque::new(),
+            recent_loads: VecDeque::with_capacity(RECENT_LOAD_WINDOW + 1),
             next_load_seq: 0,
-            tokens: HashMap::new(),
+            tokens: Vec::with_capacity(rob_cap),
             stats: CoreStats::default(),
             probe: CoreProbe::disabled(),
         }
@@ -81,23 +80,16 @@ impl OooCore {
             return Ok(None);
         }
         let n = self.recent_loads.len();
-        let Some(&seq) = self.recent_loads.get(n.wrapping_sub(dep as usize)) else {
+        let Some(&(_, complete)) = self.recent_loads.get(n.wrapping_sub(dep as usize)) else {
             return Ok(None); // dependency left the window: assume resolved
         };
-        match self.load_complete.get(&seq) {
-            Some(Some(c)) => Ok(Some(*c)),
-            Some(None) => Err(()),
-            None => Ok(None),
-        }
+        complete.map(Some).ok_or(())
     }
 
     fn note_load(&mut self, seq: u64, complete: Option<Cycle>) {
-        self.load_complete.insert(seq, complete);
-        self.recent_loads.push_back(seq);
+        self.recent_loads.push_back((seq, complete));
         if self.recent_loads.len() > RECENT_LOAD_WINDOW {
-            if let Some(old) = self.recent_loads.pop_front() {
-                self.load_complete.remove(&old);
-            }
+            self.recent_loads.pop_front();
         }
     }
 }
@@ -216,8 +208,12 @@ impl CoreEngine for OooCore {
                                 class: op.class,
                                 issued: dispatch,
                             });
-                            self.tokens
-                                .insert(token, (seq, op.pc, LineAddr::containing(op.mem_addr())));
+                            self.tokens.push((
+                                token,
+                                seq,
+                                op.pc,
+                                LineAddr::containing(op.mem_addr()),
+                            ));
                             if op.kind == OpKind::Load {
                                 self.note_load(seq, None);
                             }
@@ -232,9 +228,10 @@ impl CoreEngine for OooCore {
     }
 
     fn mem_complete(&mut self, token: u64, at: Cycle) {
-        let Some((seq, pc, line)) = self.tokens.remove(&token) else {
+        let Some(k) = self.tokens.iter().position(|t| t.0 == token) else {
             return;
         };
+        let (_, seq, pc, line) = self.tokens.swap_remove(k);
         for slot in &mut self.rob {
             if slot.load_seq == Some(seq) && slot.complete.is_none() {
                 slot.complete = Some(at);
@@ -245,8 +242,8 @@ impl CoreEngine for OooCore {
                 self.probe.demand_complete(pc, line, slot.issued, at);
             }
         }
-        if let Some(c) = self.load_complete.get_mut(&seq) {
-            *c = Some(at);
+        if let Some(l) = self.recent_loads.iter_mut().find(|l| l.0 == seq) {
+            l.1 = Some(at);
         }
     }
 
@@ -270,7 +267,11 @@ mod tests {
 
     struct FakePort {
         miss_latency: Cycle,
+        /// A miss latency for one address that overrides `miss_latency`.
+        latency_at: Option<(u64, Cycle)>,
         outstanding: Vec<(u64, Cycle)>,
+        /// Every access as (address, dispatch cycle), in issue order.
+        issued: Vec<(u64, Cycle)>,
         next_token: u64,
         hit: bool,
     }
@@ -279,7 +280,9 @@ mod tests {
         fn new(hit: bool, miss_latency: Cycle) -> Self {
             FakePort {
                 miss_latency,
+                latency_at: None,
                 outstanding: vec![],
+                issued: vec![],
                 next_token: 0,
                 hit,
             }
@@ -287,13 +290,18 @@ mod tests {
     }
 
     impl MemPort for FakePort {
-        fn access(&mut self, _core: u32, _op: &Op, now: Cycle) -> (MemResult, Cycle) {
+        fn access(&mut self, _core: u32, op: &Op, now: Cycle) -> (MemResult, Cycle) {
+            let addr = op.mem_addr().raw();
+            self.issued.push((addr, now));
             if self.hit {
                 (MemResult::Hit(now + 1), 0)
             } else {
+                let latency = match self.latency_at {
+                    Some((a, l)) if a == addr => l,
+                    _ => self.miss_latency,
+                };
                 self.next_token += 1;
-                self.outstanding
-                    .push((self.next_token, now + self.miss_latency));
+                self.outstanding.push((self.next_token, now + latency));
                 (MemResult::Miss(self.next_token), 0)
             }
         }
@@ -348,6 +356,25 @@ mod tests {
         let mut port = FakePort::new(false, 100);
         let t = run_to_done(&mut core, &mut port);
         assert!(t >= 200, "dependent chain must serialize, took {t}");
+    }
+
+    #[test]
+    fn a_miss_completing_outside_the_load_window_leaves_it_intact() {
+        // Loads dispatch one a cycle from cycle 1. Load 0 misses for 50
+        // cycles and loads 1-8 for 100, so load 8 (cycle 9) pushes load
+        // 0 out of the 8-load window before load 0 completes at cycle
+        // 51. Load 9 depends on load 8 and must dispatch at load 8's
+        // completion (cycle 109), not at load 0's.
+        let mut ops: Vec<Op> = (0..9).map(|i| load(0x1000 + i * 0x1000)).collect();
+        ops.push(load(0xa000).with_dep(1));
+        let mut core = OooCore::new(0, ops, 32);
+        let mut port = FakePort::new(false, 100);
+        port.latency_at = Some((0x1000, 50));
+        run_to_done(&mut core, &mut port);
+        assert_eq!(port.issued.len(), 10);
+        assert_eq!(port.issued[8], (0x9000, 9));
+        assert_eq!(port.issued[9], (0xa000, 109));
+        assert!(core.tokens.is_empty(), "every miss completed");
     }
 
     #[test]

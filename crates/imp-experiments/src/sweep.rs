@@ -565,7 +565,10 @@ impl Sweep {
 /// cells it misses, simulate those cells on up to `threads` workers
 /// (default: the available parallelism), observing them when `observe`
 /// is set, and deliver every outcome to `on_cell` in cell order. Cells
-/// that build the same input share one build.
+/// that build the same input share one build, and a cell whose
+/// canonical input an earlier cell already has is a repeat: it takes
+/// that cell's outcome (and its cached flag) without a store lookup or
+/// a simulation of its own.
 ///
 /// # Errors
 ///
@@ -593,9 +596,21 @@ where
     let mut slots: Vec<Option<CellRun>> = Vec::with_capacity(n);
     let mut cached_flags = vec![false; n];
     let mut missing: Vec<usize> = Vec::new();
+    let mut first_with: BTreeMap<String, usize> = BTreeMap::new();
+    let mut repeat_of: Vec<Option<usize>> = vec![None; n];
     for (i, sim) in sims.iter().enumerate() {
         match sim.canonical_input() {
             Ok(canonical) => {
+                if let Some(&f) = first_with.get(&canonical) {
+                    // Cached with its first cell, or filled when that
+                    // cell's simulation arrives.
+                    repeat_of[i] = Some(f);
+                    cached_flags[i] = cached_flags[f];
+                    slots.push(slots[f].clone());
+                    canonicals.push(canonical);
+                    continue;
+                }
+                first_with.insert(canonical.clone(), i);
                 let hit = match store {
                     Some(store) => store
                         .get(&canonical)
@@ -695,6 +710,11 @@ where
                 // Wait for workers; any cell may arrive, only the
                 // next-in-order one unblocks delivery.
                 let (i, outcome) = rx.recv().expect("workers outlive the channel");
+                for j in i + 1..n {
+                    if repeat_of[j] == Some(i) {
+                        slots[j] = Some(outcome.clone());
+                    }
+                }
                 slots[i] = Some(outcome);
                 continue;
             }
@@ -1074,6 +1094,37 @@ mod tests {
         for (a, b) in routed.iter().zip(r.results.iter()) {
             assert_eq!(a.stats, b.as_ref().unwrap().stats);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn repeated_cells_simulate_once() {
+        let dir = std::env::temp_dir().join(format!("imp-sweep-repeat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        let sweep =
+            Sweep::from(Sim::workload("spmv").scale(Scale::Tiny)).prefetchers(["imp", "imp"]);
+        let mut seen = Vec::new();
+        let report = sweep
+            .run_with(&store, |o| seen.push((o.index, o.cached)))
+            .unwrap();
+        assert_eq!((report.cached, report.simulated, report.failed), (0, 2, 0));
+        assert_eq!(seen, vec![(0, false), (1, false)]);
+        let (a, b) = (
+            report.results[0].as_ref().unwrap(),
+            report.results[1].as_ref().unwrap(),
+        );
+        assert_eq!(a.cell, b.cell);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(store.counters().puts, 1, "one simulation, one record");
+        assert_eq!(store.len().unwrap(), 1);
+
+        // Warm, the repeat is served with its first cell.
+        let warm = sweep.run_with(&store, |_| {}).unwrap();
+        assert_eq!((warm.cached, warm.simulated, warm.failed), (2, 0, 0));
+        assert_eq!(warm.results[1].as_ref().unwrap().stats, a.stats);
+        let c = store.counters();
+        assert_eq!((c.misses, c.hits), (1, 1), "one lookup per pass");
         std::fs::remove_dir_all(&dir).ok();
     }
 

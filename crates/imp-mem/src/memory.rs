@@ -85,25 +85,35 @@ impl FunctionalMemory {
         }
     }
 
+    /// Reads the `N` bytes at `addr`. A read inside one page is one
+    /// page lookup and a fixed-width load; a read that crosses a page
+    /// goes byte by byte.
+    fn read_array<const N: usize>(&self, addr: Addr) -> [u8; N] {
+        let (page, off) = split(addr);
+        let mut b = [0u8; N];
+        if off + N <= PAGE_BYTES {
+            if let Some(p) = self.pages.get(&page) {
+                b.copy_from_slice(&p[off..off + N]);
+            }
+        } else {
+            self.read_bytes(addr, &mut b);
+        }
+        b
+    }
+
     /// Reads a little-endian `u16`.
     pub fn read_u16(&self, addr: Addr) -> u16 {
-        let mut b = [0u8; 2];
-        self.read_bytes(addr, &mut b);
-        u16::from_le_bytes(b)
+        u16::from_le_bytes(self.read_array(addr))
     }
 
     /// Reads a little-endian `u32`.
     pub fn read_u32(&self, addr: Addr) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.read_array(addr))
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&self, addr: Addr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.read_array(addr))
     }
 
     /// Writes a little-endian `u16`.

@@ -9,7 +9,7 @@ use crate::access::{
 use crate::gp::{Gp, GpDecision};
 use crate::ipd::{Detection, Ipd, IpdOutcome};
 use crate::stream::{shift_apply, StreamEvent, StreamTable};
-use imp_common::{Addr, ImpConfig, LineAddr, SectorMask};
+use imp_common::{Addr, FastMap, ImpConfig, LineAddr, SectorMask};
 
 /// Role of an indirect pattern in a pattern tree (Figure 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -156,7 +156,12 @@ pub struct Imp {
     backoff: Vec<Backoff>,
     ipd: Ipd,
     gp: Gp,
+    /// Deferred indirect prefetches, retried in list order.
     deferred: Vec<Deferred>,
+    /// How many `deferred` entries wait on each index line (by line
+    /// number; zero counts are removed), so a fill of a line that none
+    /// waits on skips the list.
+    deferred_lines: FastMap<u64, u32>,
     stats: PrefetcherStats,
 }
 
@@ -175,6 +180,7 @@ impl Imp {
             ipd: Ipd::new(cfg.ipd_entries, cfg.shifts.clone(), cfg.baseaddr_array_len),
             gp: Gp::new(pt, cfg.gp_samples, seed),
             deferred: Vec::new(),
+            deferred_lines: FastMap::default(),
             stats: PrefetcherStats::default(),
             cfg,
         }
@@ -230,7 +236,7 @@ impl Imp {
                 self.ipd.release(owner_of(slot, k));
             }
             self.gp.reset_entry(slot);
-            self.deferred.retain(|d| d.slot != slot);
+            self.drop_deferred(slot);
         }
     }
 
@@ -257,7 +263,40 @@ impl Imp {
             self.ipd.release(owner_of(slot, k));
         }
         self.gp.reset_entry(slot);
-        self.deferred.retain(|d| d.slot != slot);
+        self.drop_deferred(slot);
+    }
+
+    /// Lists a deferred prefetch for retry when its index line fills,
+    /// or counts it as dropped when the list is full.
+    fn defer(&mut self, d: Deferred) {
+        if self.deferred.len() < MAX_DEFERRED {
+            *self
+                .deferred_lines
+                .entry(LineAddr::containing(d.index_addr).number())
+                .or_insert(0) += 1;
+            self.deferred.push(d);
+        } else {
+            self.stats.deferred_drops += 1;
+        }
+    }
+
+    /// Removes every deferred prefetch of `slot` from the list and from
+    /// the per-line counts.
+    fn drop_deferred(&mut self, slot: usize) {
+        let lines = &mut self.deferred_lines;
+        self.deferred.retain(|d| {
+            if d.slot != slot {
+                return true;
+            }
+            let line = LineAddr::containing(d.index_addr).number();
+            if let Some(n) = lines.get_mut(&line) {
+                *n -= 1;
+                if *n == 0 {
+                    lines.remove(&line);
+                }
+            }
+            false
+        });
     }
 
     fn install(&mut self, det: Detection) {
@@ -415,7 +454,7 @@ impl Imp {
         for k in [DetectKind::Primary, DetectKind::Way, DetectKind::Level] {
             self.ipd.release(owner_of(slot, k));
         }
-        self.deferred.retain(|d| d.slot != slot);
+        self.drop_deferred(slot);
     }
 }
 
@@ -609,15 +648,11 @@ impl L1Prefetcher for Imp {
                                     kind: PrefetchKind::Sequential,
                                 });
                                 self.stats.stream_prefetches += 1;
-                                if self.deferred.len() < MAX_DEFERRED {
-                                    self.deferred.push(Deferred {
-                                        slot,
-                                        index_addr: idx_addr,
-                                        size: access.size,
-                                    });
-                                } else {
-                                    self.stats.deferred_drops += 1;
-                                }
+                                self.defer(Deferred {
+                                    slot,
+                                    index_addr: idx_addr,
+                                    size: access.size,
+                                });
                             }
                         }
                     }
@@ -677,14 +712,19 @@ impl L1Prefetcher for Imp {
                 // chain from them.
             }
             PrefetchKind::Sequential => {
-                // Retry deferred indirect prefetches whose index line
-                // just arrived. The deferral list is short and filtered
-                // in place; the common case (no match) touches no heap.
+                // Retry, in list order, the deferred indirect prefetches
+                // whose index line just arrived. A line that none waits
+                // on (the common case) skips the list, and the scan
+                // stops at the line's last entry.
                 let filled = request.line();
+                let Some(mut left) = self.deferred_lines.remove(&filled.number()) else {
+                    return;
+                };
                 let mut i = 0;
-                while i < self.deferred.len() {
+                while left > 0 {
                     if LineAddr::containing(self.deferred[i].index_addr) == filled {
                         let d = self.deferred.remove(i);
+                        left -= 1;
                         if self.ind[d.slot].enabled && self.ind[d.slot].prefetching {
                             if let Some(v) = values.read_value(d.index_addr, d.size) {
                                 self.stats.deferred_retries += 1;
@@ -956,6 +996,66 @@ mod tests {
                 .any(|r| matches!(r.kind, PrefetchKind::Indirect { .. })),
             "deferred indirect prefetch issued after the index line filled"
         );
+    }
+
+    #[test]
+    fn deferred_retries_keep_list_order_and_their_line_counts() {
+        // Slots 0 and 1 read 4-byte index values and prefetch 8-byte
+        // elements at their bases; five deferrals wait on index lines
+        // `l` (three) and `m` (two).
+        let mut imp = Imp::new(ImpConfig::paper_default(), false, 1);
+        let bases = [0x10_0000u64, 0x20_0000];
+        for (slot, base) in bases.into_iter().enumerate() {
+            let pc = Pc::new(slot as u32 + 1);
+            let (entry, _, _) = imp.table.observe(pc, Addr::new(base), 4);
+            assert_eq!(entry, slot);
+            let p = &mut imp.ind[slot];
+            p.enabled = true;
+            p.prefetching = true;
+            p.shift = 3;
+            p.base = base;
+        }
+        let (l, m) = (0x1000u64, 0x2000u64);
+        let waits = [(0, l), (1, m), (0, l + 4), (1, l + 8), (0, m + 4)];
+        let mut src = MapValueSource::new();
+        for (k, &(slot, addr)) in waits.iter().enumerate() {
+            let index_addr = Addr::new(addr);
+            imp.defer(Deferred {
+                slot,
+                index_addr,
+                size: 4,
+            });
+            src.insert(index_addr, 4, k as u64);
+        }
+        assert_eq!(imp.deferred_lines.len(), 2);
+        let fill = |line: u64| PrefetchRequest {
+            pc: Pc::new(9),
+            addr: Addr::new(line),
+            sectors: SectorMask::FULL_L1,
+            exclusive: false,
+            kind: PrefetchKind::Sequential,
+        };
+        let mut targets = |line: u64| -> Vec<u64> {
+            let reqs = imp.on_prefetch_fill_collect(fill(line), &mut src);
+            reqs.iter().map(|r| r.addr.raw()).collect()
+        };
+        // Line `l`: entries 0, 2 and 3, in list order.
+        assert_eq!(
+            targets(l),
+            vec![bases[0], bases[0] + 8 * 2, bases[1] + 8 * 3]
+        );
+        // Slot 1 resets between the fills, taking its entry on `m`.
+        imp.reset_slot(1);
+        assert_eq!(imp.deferred.len(), 1);
+        let mut targets = |line: u64| -> Vec<u64> {
+            let reqs = imp.on_prefetch_fill_collect(fill(line), &mut src);
+            reqs.iter().map(|r| r.addr.raw()).collect()
+        };
+        assert_eq!(targets(m), vec![bases[0] + 8 * 4]);
+        assert_eq!(targets(l), Vec::<u64>::new(), "nothing left on `l`");
+        assert_eq!(imp.stats.deferred_retries, 4);
+        assert!(imp.deferred.is_empty());
+        assert!(imp.deferred_lines.is_empty(), "the count index ends empty");
     }
 
     #[test]

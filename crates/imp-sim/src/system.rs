@@ -296,8 +296,9 @@ struct Fabric {
     /// memory modes), where every path below is bit-identical to the
     /// pre-`imp-vm` simulator. The page table identity-maps on first
     /// touch, so translation changes timing only — never which lines
-    /// move.
-    vm: Option<Vm>,
+    /// move. Boxed, because each translation takes it out of `self`
+    /// and puts it back (see [`Fabric::demand_translate`]).
+    vm: Option<Box<Vm>>,
     // PerfectPrefetch state.
     shadow: Vec<SectoredCache>,
     pp_outstanding: Vec<VecDeque<u64>>,
@@ -358,8 +359,13 @@ impl Fabric {
     /// ledger into a [`Feedback`](imp_prefetch::Feedback) delta, asks
     /// the policy and each core's prefetcher for a [`Control`], applies
     /// a requested switch, and installs the merged control until the
-    /// next boundary.
+    /// next boundary. It runs before every event, so between boundaries
+    /// it returns before moving the manager state.
     fn manager_tick(&mut self, now: Cycle) {
+        match &self.mgr {
+            Some(m) if now >= m.next_epoch => {}
+            _ => return,
+        }
         let Some(mut m) = self.mgr.take() else { return };
         while now >= m.next_epoch {
             let end = m.next_epoch;
@@ -1508,7 +1514,7 @@ impl System {
             } else {
                 PagePlacement::for_regions(huge_regions.iter().copied(), cfg.tlb.huge_page_bytes())
             };
-            Some(Vm::with_placement(&cfg.tlb, n, placement)?)
+            Some(Box::new(Vm::with_placement(&cfg.tlb, n, placement)?))
         } else {
             imp_vm::validate_config(&cfg.tlb)?;
             None
@@ -1690,9 +1696,7 @@ impl System {
             // Epoch boundaries close against the event clock, before
             // the event dispatches: every epoch sees exactly the state
             // changes of events strictly before its end cycle.
-            if self.fab.mgr.is_some() {
-                self.fab.manager_tick(t);
-            }
+            self.fab.manager_tick(t);
             match ev {
                 // Stall fast-forward: wakes scheduled for a core that has
                 // since blocked (on memory, a barrier, or retirement) are
