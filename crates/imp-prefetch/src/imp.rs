@@ -289,11 +289,10 @@ impl Imp {
                 return true;
             }
             let line = LineAddr::containing(d.index_addr).number();
-            if let Some(n) = lines.get_mut(&line) {
-                *n -= 1;
-                if *n == 0 {
-                    lines.remove(&line);
-                }
+            let n = lines.get_mut(&line).expect("every listed entry is counted");
+            *n -= 1;
+            if *n == 0 {
+                lines.remove(&line);
             }
             false
         });
@@ -1028,31 +1027,31 @@ mod tests {
             src.insert(index_addr, 4, k as u64);
         }
         assert_eq!(imp.deferred_lines.len(), 2);
-        let fill = |line: u64| PrefetchRequest {
-            pc: Pc::new(9),
-            addr: Addr::new(line),
-            sectors: SectorMask::FULL_L1,
-            exclusive: false,
-            kind: PrefetchKind::Sequential,
-        };
-        let mut targets = |line: u64| -> Vec<u64> {
-            let reqs = imp.on_prefetch_fill_collect(fill(line), &mut src);
+        // The targets requested when index line `line` fills.
+        fn fill(imp: &mut Imp, src: &mut MapValueSource, line: u64) -> Vec<u64> {
+            let req = PrefetchRequest {
+                pc: Pc::new(9),
+                addr: Addr::new(line),
+                sectors: SectorMask::FULL_L1,
+                exclusive: false,
+                kind: PrefetchKind::Sequential,
+            };
+            let reqs = imp.on_prefetch_fill_collect(req, src);
             reqs.iter().map(|r| r.addr.raw()).collect()
-        };
+        }
         // Line `l`: entries 0, 2 and 3, in list order.
         assert_eq!(
-            targets(l),
+            fill(&mut imp, &mut src, l),
             vec![bases[0], bases[0] + 8 * 2, bases[1] + 8 * 3]
         );
         // Slot 1 resets between the fills, taking its entry on `m`.
         imp.reset_slot(1);
         assert_eq!(imp.deferred.len(), 1);
-        let mut targets = |line: u64| -> Vec<u64> {
-            let reqs = imp.on_prefetch_fill_collect(fill(line), &mut src);
-            reqs.iter().map(|r| r.addr.raw()).collect()
-        };
-        assert_eq!(targets(m), vec![bases[0] + 8 * 4]);
-        assert_eq!(targets(l), Vec::<u64>::new(), "nothing left on `l`");
+        assert_eq!(fill(&mut imp, &mut src, m), vec![bases[0] + 8 * 4]);
+        assert!(
+            fill(&mut imp, &mut src, l).is_empty(),
+            "nothing left on `l`"
+        );
         assert_eq!(imp.stats.deferred_retries, 4);
         assert!(imp.deferred.is_empty());
         assert!(imp.deferred_lines.is_empty(), "the count index ends empty");
