@@ -597,14 +597,15 @@ where
     let mut cached_flags = vec![false; n];
     let mut missing: Vec<usize> = Vec::new();
     let mut first_with: BTreeMap<String, usize> = BTreeMap::new();
-    let mut repeat_of: Vec<Option<usize>> = vec![None; n];
+    // Per first cell, the later cells that repeat its canonical input.
+    let mut repeats: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, sim) in sims.iter().enumerate() {
         match sim.canonical_input() {
             Ok(canonical) => {
                 if let Some(&f) = first_with.get(&canonical) {
                     // Cached with its first cell, or filled when that
                     // cell's simulation arrives.
-                    repeat_of[i] = Some(f);
+                    repeats[f].push(i);
                     cached_flags[i] = cached_flags[f];
                     slots.push(slots[f].clone());
                     canonicals.push(canonical);
@@ -710,10 +711,8 @@ where
                 // Wait for workers; any cell may arrive, only the
                 // next-in-order one unblocks delivery.
                 let (i, outcome) = rx.recv().expect("workers outlive the channel");
-                for j in i + 1..n {
-                    if repeat_of[j] == Some(i) {
-                        slots[j] = Some(outcome.clone());
-                    }
+                for &j in &repeats[i] {
+                    slots[j] = Some(outcome.clone());
                 }
                 slots[i] = Some(outcome);
                 continue;

@@ -362,9 +362,8 @@ impl Fabric {
     /// next boundary. It runs before every event, so between boundaries
     /// it returns before moving the manager state.
     fn manager_tick(&mut self, now: Cycle) {
-        match &self.mgr {
-            Some(m) if now >= m.next_epoch => {}
-            _ => return,
+        if !self.mgr.as_ref().is_some_and(|m| now >= m.next_epoch) {
+            return;
         }
         let Some(mut m) = self.mgr.take() else { return };
         while now >= m.next_epoch {
