@@ -156,12 +156,12 @@ pub struct Imp {
     backoff: Vec<Backoff>,
     ipd: Ipd,
     gp: Gp,
-    /// Deferred indirect prefetches, retried in list order.
-    deferred: Vec<Deferred>,
-    /// How many `deferred` entries wait on each index line (by line
-    /// number; zero counts are removed), so a fill of a line that none
-    /// waits on skips the list.
-    deferred_lines: FastMap<u64, u32>,
+    /// Deferred indirect prefetches by index line number, each line's
+    /// in the order they were deferred. Lines without entries are
+    /// removed.
+    deferred: FastMap<u64, Vec<Deferred>>,
+    /// Entries in `deferred`, capped at [`MAX_DEFERRED`].
+    deferred_len: usize,
     stats: PrefetcherStats,
 }
 
@@ -179,8 +179,8 @@ impl Imp {
             backoff: vec![Backoff::new(cfg.detect_backoff_initial); pt],
             ipd: Ipd::new(cfg.ipd_entries, cfg.shifts.clone(), cfg.baseaddr_array_len),
             gp: Gp::new(pt, cfg.gp_samples, seed),
-            deferred: Vec::new(),
-            deferred_lines: FastMap::default(),
+            deferred: FastMap::default(),
+            deferred_len: 0,
             stats: PrefetcherStats::default(),
             cfg,
         }
@@ -269,32 +269,23 @@ impl Imp {
     /// Lists a deferred prefetch for retry when its index line fills,
     /// or counts it as dropped when the list is full.
     fn defer(&mut self, d: Deferred) {
-        if self.deferred.len() < MAX_DEFERRED {
-            *self
-                .deferred_lines
-                .entry(LineAddr::containing(d.index_addr).number())
-                .or_insert(0) += 1;
-            self.deferred.push(d);
+        if self.deferred_len < MAX_DEFERRED {
+            let line = LineAddr::containing(d.index_addr).number();
+            self.deferred.entry(line).or_default().push(d);
+            self.deferred_len += 1;
         } else {
             self.stats.deferred_drops += 1;
         }
     }
 
-    /// Removes every deferred prefetch of `slot` from the list and from
-    /// the per-line counts.
+    /// Removes every deferred prefetch of `slot`.
     fn drop_deferred(&mut self, slot: usize) {
-        let lines = &mut self.deferred_lines;
-        self.deferred.retain(|d| {
-            if d.slot != slot {
-                return true;
-            }
-            let line = LineAddr::containing(d.index_addr).number();
-            let n = lines.get_mut(&line).expect("every listed entry is counted");
-            *n -= 1;
-            if *n == 0 {
-                lines.remove(&line);
-            }
-            false
+        let len = &mut self.deferred_len;
+        self.deferred.retain(|_, list| {
+            let before = list.len();
+            list.retain(|d| d.slot != slot);
+            *len -= before - list.len();
+            !list.is_empty()
         });
     }
 
@@ -711,27 +702,18 @@ impl L1Prefetcher for Imp {
                 // chain from them.
             }
             PrefetchKind::Sequential => {
-                // Retry, in list order, the deferred indirect prefetches
-                // whose index line just arrived. A line that none waits
-                // on (the common case) skips the list, and the scan
-                // stops at the line's last entry.
-                let filled = request.line();
-                let Some(mut left) = self.deferred_lines.remove(&filled.number()) else {
+                // Retry, in the order they were deferred, the indirect
+                // prefetches whose index line just arrived.
+                let Some(list) = self.deferred.remove(&request.line().number()) else {
                     return;
                 };
-                let mut i = 0;
-                while left > 0 {
-                    if LineAddr::containing(self.deferred[i].index_addr) == filled {
-                        let d = self.deferred.remove(i);
-                        left -= 1;
-                        if self.ind[d.slot].enabled && self.ind[d.slot].prefetching {
-                            if let Some(v) = values.read_value(d.index_addr, d.size) {
-                                self.stats.deferred_retries += 1;
-                                self.requests_for_value(d.slot, v, out);
-                            }
+                self.deferred_len -= list.len();
+                for d in list {
+                    if self.ind[d.slot].enabled && self.ind[d.slot].prefetching {
+                        if let Some(v) = values.read_value(d.index_addr, d.size) {
+                            self.stats.deferred_retries += 1;
+                            self.requests_for_value(d.slot, v, out);
                         }
-                    } else {
-                        i += 1;
                     }
                 }
             }
@@ -1026,7 +1008,8 @@ mod tests {
             });
             src.insert(index_addr, 4, k as u64);
         }
-        assert_eq!(imp.deferred_lines.len(), 2);
+        assert_eq!(imp.deferred.len(), 2);
+        assert_eq!(imp.deferred_len, 5);
         // The targets requested when index line `line` fills.
         fn fill(imp: &mut Imp, src: &mut MapValueSource, line: u64) -> Vec<u64> {
             let req = PrefetchRequest {
@@ -1046,15 +1029,15 @@ mod tests {
         );
         // Slot 1 resets between the fills, taking its entry on `m`.
         imp.reset_slot(1);
-        assert_eq!(imp.deferred.len(), 1);
+        assert_eq!(imp.deferred_len, 1);
         assert_eq!(fill(&mut imp, &mut src, m), vec![bases[0] + 8 * 4]);
         assert!(
             fill(&mut imp, &mut src, l).is_empty(),
             "nothing left on `l`"
         );
         assert_eq!(imp.stats.deferred_retries, 4);
-        assert!(imp.deferred.is_empty());
-        assert!(imp.deferred_lines.is_empty(), "the count index ends empty");
+        assert!(imp.deferred.is_empty(), "no line is left listed");
+        assert_eq!(imp.deferred_len, 0);
     }
 
     #[test]
