@@ -48,26 +48,6 @@ impl FunctionalMemory {
         self.page_mut(page)[off] = value;
     }
 
-    /// Reads `buf.len()` bytes starting at `addr` (little-endian layout).
-    pub fn read_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        // Accesses that stay inside one page (the overwhelmingly common
-        // case: the simulator reads 1–8-byte values) cost a single page
-        // lookup instead of one per byte.
-        let (page, off) = split(addr);
-        if let Some(end) = off.checked_add(buf.len()) {
-            if end <= PAGE_BYTES {
-                match self.pages.get(&page) {
-                    Some(p) => buf.copy_from_slice(&p[off..end]),
-                    None => buf.fill(0),
-                }
-                return;
-            }
-        }
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr.offset(i as i64));
-        }
-    }
-
     /// Writes `buf` starting at `addr`.
     pub fn write_bytes(&mut self, addr: Addr, buf: &[u8]) {
         if buf.is_empty() {
@@ -96,7 +76,9 @@ impl FunctionalMemory {
                 b.copy_from_slice(&p[off..off + N]);
             }
         } else {
-            self.read_bytes(addr, &mut b);
+            for (i, x) in b.iter_mut().enumerate() {
+                *x = self.read_u8(addr.offset(i as i64));
+            }
         }
         b
     }
