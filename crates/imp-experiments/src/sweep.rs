@@ -112,7 +112,9 @@ pub struct CellOutcome {
     /// The content digest addressing this cell in the store.
     pub digest: u64,
     /// Whether the result was served from the store (`true`) or
-    /// simulated this run (`false`; failed cells are also `false`).
+    /// simulated this run (`false`; failed cells are also `false`). A
+    /// cell that repeats an earlier cell's canonical input in the same
+    /// run takes that cell's outcome, this flag included.
     pub cached: bool,
     /// The cell's result.
     pub result: Result<SweepResult, SweepCellError>,
@@ -126,6 +128,9 @@ pub struct SweepReport {
     /// Cells served from the store without simulating.
     pub cached: usize,
     /// Cells simulated (and persisted, when there is a store) this run.
+    /// A cell that repeats an earlier cell's canonical input in the same
+    /// run takes that cell's outcome and is counted with it: as
+    /// simulated, cached or failed.
     pub simulated: usize,
     /// Cells that failed.
     pub failed: usize,
