@@ -102,5 +102,15 @@ pub fn cells() -> Vec<(String, Sim)> {
             .walk_model(WalkModel::Cached)
             .manager("tree:epoch=1000"),
     ));
+    // The PerfectPrefetch upper bound: a shadow L1 runs ahead of the
+    // real one, throttled to `perfpref_lead` cycles past the oldest
+    // outstanding fetch.
+    cells.push((
+        "spmv/perfpref".into(),
+        Sim::workload("spmv")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .mem_mode(MemMode::PerfectPrefetch),
+    ));
     cells
 }
