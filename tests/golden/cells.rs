@@ -112,5 +112,13 @@ pub fn cells() -> Vec<(String, Sim)> {
             .cores(16)
             .mem_mode(MemMode::PerfectPrefetch),
     ));
+    // At Tiny the default 4096-cycle lead never binds; a 256-cycle lead
+    // makes the throttle stall cores on their oldest fetch.
+    let mut lead256 = SystemConfig::paper_default(16).with_mem_mode(MemMode::PerfectPrefetch);
+    lead256.perfpref_lead = 256;
+    cells.push((
+        "spmv/perfpref/lead256".into(),
+        Sim::from_config("spmv", lead256).scale(Scale::Tiny),
+    ));
     cells
 }

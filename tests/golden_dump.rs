@@ -11,7 +11,7 @@ mod golden;
 
 use imp::common::fnv1a;
 
-const DIGESTS: [(&str, u64); 17] = [
+const DIGESTS: [(&str, u64); 18] = [
     ("spmv/none", 0xe4a1_5ddd_1a92_1490),
     ("spmv/stream", 0xb1a4_1497_1462_80c5),
     ("spmv/imp", 0xd04b_32e0_e8a2_71e4),
@@ -29,6 +29,7 @@ const DIGESTS: [(&str, u64); 17] = [
     ("graph500/imp/huge-nonblocking", 0xc181_bf88_164f_6e17),
     ("spmv/imp/tree-tlb", 0x624a_a0ad_6302_3755),
     ("spmv/perfpref", 0x667f_81b6_ab0b_0f0e),
+    ("spmv/perfpref/lead256", 0x3834_b583_8bcb_be3d),
 ];
 
 #[test]
