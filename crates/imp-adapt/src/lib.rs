@@ -1,7 +1,7 @@
 //! Adaptive prefetcher management.
 //!
 //! The simulator ends each epoch by distilling its prefetch-timeliness
-//! ledger (plus traffic and TLB-pressure signals) into a
+//! ledger (plus the TLB-pressure signal) into a
 //! [`Feedback`] digest — [`EpochTracker`] does the delta bookkeeping —
 //! and hands it to a [`Manager`]. The manager's policy answers with a
 //! [`Control`]: throttle the prefetch degree, mask unproductive PCs, or
@@ -28,7 +28,6 @@
 //! content-address to different sweep cells.
 
 use imp_common::config::{ParamError, PrefetcherSpec};
-use imp_common::stats::AccessClass;
 use imp_common::{Cycle, FastMap, Pc};
 use imp_obs::{Ledger, LedgerCounts};
 use imp_prefetch::{Control, Feedback};
@@ -187,8 +186,8 @@ impl std::fmt::Debug for Manager {
     }
 }
 
-/// Turns a cumulative [`Ledger`] (plus cumulative traffic/TLB
-/// counters) into per-epoch [`Feedback`] deltas.
+/// Turns a cumulative [`Ledger`] (plus the cumulative TLB-drop count)
+/// into per-epoch [`Feedback`] deltas.
 ///
 /// The tracker snapshots everything it was shown at the previous epoch
 /// boundary and subtracts; summed over all epochs the deltas equal the
@@ -200,12 +199,8 @@ pub struct EpochTracker {
     prev_start: Cycle,
     prev_total: LedgerCounts,
     prev_per_pc: FastMap<Pc, LedgerCounts>,
-    prev_per_class: [LedgerCounts; AccessClass::ALL.len()],
     prev_per_hop: [LedgerCounts; imp_obs::MAX_HOPS],
-    prev_demand_misses: u64,
     prev_tlb_drops: u64,
-    prev_flit_hops: u64,
-    prev_dram_bytes: u64,
 }
 
 fn sub_counts(now: &LedgerCounts, prev: &LedgerCounts) -> LedgerCounts {
@@ -234,19 +229,9 @@ impl EpochTracker {
     }
 
     /// Closes the epoch ending at `end`: returns the delta between the
-    /// cumulative counters passed now and those passed at the previous
-    /// boundary, then re-snapshots. All counter arguments are
-    /// *cumulative run totals*, not deltas.
-    #[allow(clippy::too_many_arguments)]
-    pub fn feedback(
-        &mut self,
-        ledger: &Ledger,
-        end: Cycle,
-        demand_misses: u64,
-        tlb_prefetch_drops: u64,
-        noc_flit_hops: u64,
-        dram_bytes: u64,
-    ) -> Feedback {
+    /// cumulative `ledger` and `tlb_prefetch_drops` passed now and those
+    /// passed at the previous boundary, then re-snapshots.
+    pub fn feedback(&mut self, ledger: &Ledger, end: Cycle, tlb_prefetch_drops: u64) -> Feedback {
         let total = sub_counts(ledger.total(), &self.prev_total);
         let cur_pc = ledger.per_pc();
         let mut per_pc = Vec::new();
@@ -256,11 +241,6 @@ impl EpochTracker {
             if !is_zero(&d) {
                 per_pc.push((*pc, d));
             }
-        }
-        let cur_class = ledger.per_class();
-        let mut per_class: [LedgerCounts; AccessClass::ALL.len()] = Default::default();
-        for (i, c) in cur_class.iter().enumerate() {
-            per_class[i] = sub_counts(c, &self.prev_per_class[i]);
         }
         let cur_hop = ledger.per_hop();
         let mut per_hop: [LedgerCounts; imp_obs::MAX_HOPS] = Default::default();
@@ -273,23 +253,15 @@ impl EpochTracker {
             end,
             total,
             per_pc,
-            per_class,
             per_hop,
-            demand_misses: demand_misses - self.prev_demand_misses,
             tlb_prefetch_drops: tlb_prefetch_drops - self.prev_tlb_drops,
-            noc_flit_hops: noc_flit_hops - self.prev_flit_hops,
-            dram_bytes: dram_bytes - self.prev_dram_bytes,
         };
         self.epoch += 1;
         self.prev_start = end;
         self.prev_total = *ledger.total();
         self.prev_per_pc = cur_pc.into_iter().collect();
-        self.prev_per_class = *cur_class;
         self.prev_per_hop = *cur_hop;
-        self.prev_demand_misses = demand_misses;
         self.prev_tlb_drops = tlb_prefetch_drops;
-        self.prev_flit_hops = noc_flit_hops;
-        self.prev_dram_bytes = dram_bytes;
         fb
     }
 }
@@ -297,6 +269,7 @@ impl EpochTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imp_common::stats::AccessClass;
     use imp_common::LineAddr;
 
     fn spec(s: &str) -> PrefetcherSpec {
@@ -356,12 +329,11 @@ mod tests {
         ledger.issue(0, line(0), pc, AccessClass::Stream, 0, 10);
         ledger.issue(0, line(1), pc, AccessClass::Stream, 0, 20);
         ledger.fill(0, line(0), 30);
-        let fb0 = tracker.feedback(&ledger, 100, 5, 1, 100, 640);
+        let fb0 = tracker.feedback(&ledger, 100, 1);
         assert_eq!(fb0.epoch, 0);
         assert_eq!((fb0.start, fb0.end), (0, 100));
         assert_eq!(fb0.total.issued, 2);
         assert_eq!(fb0.total.fills, 1);
-        assert_eq!(fb0.demand_misses, 5);
         assert_eq!(fb0.tlb_prefetch_drops, 1);
 
         // Epoch 1: the line issued in epoch 0 is used now — the delta
@@ -369,15 +341,12 @@ mod tests {
         ledger.fill(0, line(1), 110);
         ledger.first_use(0, line(0), 120);
         ledger.first_use(0, line(1), 130);
-        let fb1 = tracker.feedback(&ledger, 200, 8, 1, 250, 1280);
+        let fb1 = tracker.feedback(&ledger, 200, 1);
         assert_eq!(fb1.epoch, 1);
         assert_eq!((fb1.start, fb1.end), (100, 200));
         assert_eq!(fb1.total.issued, 0);
         assert_eq!(fb1.total.used, 2);
-        assert_eq!(fb1.demand_misses, 3);
         assert_eq!(fb1.tlb_prefetch_drops, 0);
-        assert_eq!(fb1.noc_flit_hops, 150);
-        assert_eq!(fb1.dram_bytes, 640);
 
         // Summed deltas equal the cumulative ledger.
         let mut sum = LedgerCounts::default();

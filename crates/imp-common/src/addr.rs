@@ -218,11 +218,6 @@ impl SectorMask {
         self.0 & other.0 == other.0
     }
 
-    /// Number of bytes covered by this mask at L1 granularity.
-    pub const fn l1_bytes(self) -> u64 {
-        self.count() as u64 * L1_SECTOR_BYTES
-    }
-
     /// A mask of `granu` consecutive L1 sectors, aligned to `granu`,
     /// covering the sector that contains `addr`. Used when IMP issues a
     /// partial prefetch of the predicted granularity (Section 4.2).

@@ -16,39 +16,6 @@ pub enum CoreModel {
     OutOfOrder,
 }
 
-/// Which hardware prefetcher is attached to each L1 data cache.
-///
-/// This closed enum survives as shorthand for the paper's four stock
-/// configurations; it converts into the open [`PrefetcherSpec`] that
-/// [`SystemConfig`] actually carries. Custom and composite prefetchers
-/// (registered through `imp-prefetch`'s plugin registry) are addressed by
-/// spec, not by this enum.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PrefetcherKind {
-    /// No prefetching at all.
-    None,
-    /// Stream prefetcher only (the paper's *Baseline*).
-    #[default]
-    Stream,
-    /// Stream prefetcher plus IMP (the paper's contribution).
-    Imp,
-    /// Stream prefetcher plus a Global History Buffer correlation
-    /// prefetcher (Section 5.4 comparison).
-    Ghb,
-}
-
-impl PrefetcherKind {
-    /// The registry name this stock configuration maps to.
-    pub fn registry_name(self) -> &'static str {
-        match self {
-            PrefetcherKind::None => "none",
-            PrefetcherKind::Stream => "stream",
-            PrefetcherKind::Imp => "imp",
-            PrefetcherKind::Ghb => "ghb",
-        }
-    }
-}
-
 /// One prefetcher parameter value.
 ///
 /// Parameters are interpreted by the factory that builds the prefetcher;
@@ -166,10 +133,11 @@ impl fmt::Display for ParamValue {
 /// An open, serialization-friendly prefetcher selection: a registry name
 /// plus factory-specific parameters.
 ///
-/// Replaces direct [`PrefetcherKind`] dispatch in [`SystemConfig`]: the
-/// simulator resolves the name against `imp-prefetch`'s plugin registry,
-/// so downstream users can attach prefetchers the core crates have never
-/// heard of.
+/// [`SystemConfig`] carries one: the simulator resolves the name
+/// against `imp-prefetch`'s plugin registry, so downstream users can
+/// attach prefetchers the core crates have never heard of. The paper's
+/// stock configurations are `none`, `stream` (the *Baseline*), `imp`
+/// and `ghb`.
 ///
 /// The textual form is `name` or `name:key=value,key=value`, and
 /// round-trips through [`fmt::Display`] / [`FromStr`]:
@@ -297,12 +265,6 @@ impl Default for PrefetcherSpec {
     /// The paper's Baseline (stream prefetcher).
     fn default() -> Self {
         PrefetcherSpec::new("stream")
-    }
-}
-
-impl From<PrefetcherKind> for PrefetcherSpec {
-    fn from(kind: PrefetcherKind) -> Self {
-        PrefetcherSpec::new(kind.registry_name())
     }
 }
 
@@ -1014,8 +976,8 @@ impl SystemConfig {
     }
 
     /// Convenience: returns a copy with the prefetcher replaced. Accepts
-    /// a [`PrefetcherKind`], a [`PrefetcherSpec`], or a spec string such
-    /// as `"imp"` or `"stream:distance=8"`.
+    /// a [`PrefetcherSpec`] or a spec string such as `"imp"` or
+    /// `"stream:distance=8"`.
     ///
     /// # Panics
     ///
@@ -1316,7 +1278,7 @@ mod tests {
         assert_eq!(a.canonical(), a.clone().canonical(), "deterministic");
         // Every knob that changes timing must change the canonical form.
         let variants = [
-            a.clone().with_prefetcher(PrefetcherKind::Imp),
+            a.clone().with_prefetcher("imp"),
             a.clone().with_partial(PartialMode::NocAndDram),
             a.clone().with_mem_mode(MemMode::Ideal),
             a.clone().with_core_model(CoreModel::OutOfOrder),
@@ -1361,21 +1323,5 @@ mod tests {
             PagePolicy::Auto { threshold_bytes: 1 }.canonical(),
             PagePolicy::Auto { threshold_bytes: 2 }.canonical()
         );
-    }
-
-    #[test]
-    fn kind_converts_to_spec() {
-        for (kind, name) in [
-            (PrefetcherKind::None, "none"),
-            (PrefetcherKind::Stream, "stream"),
-            (PrefetcherKind::Imp, "imp"),
-            (PrefetcherKind::Ghb, "ghb"),
-        ] {
-            assert_eq!(PrefetcherSpec::from(kind), PrefetcherSpec::new(name));
-        }
-        let cfg = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp);
-        assert_eq!(cfg.prefetcher.name, "imp");
-        let cfg = cfg.with_prefetcher("hybrid:components=stream+imp");
-        assert_eq!(cfg.prefetcher.name, "hybrid");
     }
 }

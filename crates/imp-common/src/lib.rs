@@ -28,8 +28,8 @@ pub mod wire;
 
 pub use addr::{Addr, LineAddr, Pc, SectorMask};
 pub use config::{
-    CoreModel, ImpConfig, MemConfig, MemRegion, PagePolicy, ParamValue, PrefetcherKind,
-    PrefetcherSpec, SystemConfig, TlbConfig, TranslationPolicy, WalkModel,
+    CoreModel, ImpConfig, MemConfig, MemRegion, PagePolicy, ParamValue, PrefetcherSpec,
+    SystemConfig, TlbConfig, TranslationPolicy, WalkModel,
 };
 pub use event::EventQueue;
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};

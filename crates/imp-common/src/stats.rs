@@ -85,15 +85,6 @@ impl CoreStats {
     pub fn total_stall(&self) -> u64 {
         self.stall_cycles.iter().sum()
     }
-
-    /// Average demand miss latency in cycles.
-    pub fn avg_miss_latency(&self) -> f64 {
-        if self.mem_latency_count == 0 {
-            0.0
-        } else {
-            self.mem_latency_sum as f64 / self.mem_latency_count as f64
-        }
-    }
 }
 
 /// Per-core prefetcher statistics (Table 3's coverage/accuracy inputs).

@@ -6,7 +6,7 @@
 
 use crate::sim::Sim;
 use crate::sweep::run_sims;
-use imp_common::config::{CoreModel, MemMode, PartialMode, PrefetcherKind};
+use imp_common::config::{CoreModel, MemMode, PartialMode};
 use imp_common::{SystemConfig, SystemStats};
 use imp_store::ResultStore;
 use imp_workloads::Scale;
@@ -48,20 +48,20 @@ pub fn system_config(cores: u32, c: Config) -> SystemConfig {
         Config::Ideal => base.with_mem_mode(MemMode::Ideal),
         Config::PerfPref => base.with_mem_mode(MemMode::PerfectPrefetch),
         Config::Base | Config::SwPref => base,
-        Config::Imp => base.with_prefetcher(PrefetcherKind::Imp),
+        Config::Imp => base.with_prefetcher("imp"),
         Config::ImpPartialNoc => base
-            .with_prefetcher(PrefetcherKind::Imp)
+            .with_prefetcher("imp")
             .with_partial(PartialMode::NocOnly),
         Config::ImpPartialNocDram => base
-            .with_prefetcher(PrefetcherKind::Imp)
+            .with_prefetcher("imp")
             .with_partial(PartialMode::NocAndDram),
-        Config::Ghb => base.with_prefetcher(PrefetcherKind::Ghb),
+        Config::Ghb => base.with_prefetcher("ghb"),
         Config::BaseOoo => base.with_core_model(CoreModel::OutOfOrder),
         Config::ImpOoo => base
-            .with_prefetcher(PrefetcherKind::Imp)
+            .with_prefetcher("imp")
             .with_core_model(CoreModel::OutOfOrder),
         Config::ImpPartialOoo => base
-            .with_prefetcher(PrefetcherKind::Imp)
+            .with_prefetcher("imp")
             .with_partial(PartialMode::NocAndDram)
             .with_core_model(CoreModel::OutOfOrder),
     }

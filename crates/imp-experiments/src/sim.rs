@@ -238,9 +238,9 @@ impl Sim {
         self
     }
 
-    /// Prefetcher registry spec: a [`PrefetcherSpec`], a
-    /// `PrefetcherKind`, or a string such as `"imp"`,
-    /// `"stream:distance=8"` or `"hybrid:components=stream+imp"`.
+    /// Prefetcher registry spec: a [`PrefetcherSpec`] or a string such
+    /// as `"imp"`, `"stream:distance=8"` or
+    /// `"hybrid:components=stream+imp"`.
     ///
     /// A malformed spec string does not panic; it surfaces as
     /// [`SimError::InvalidSpec`] when the builder runs.
@@ -631,14 +631,16 @@ impl Sim {
     /// generated for a different core count than this builder targets,
     /// plus the usual configuration errors.
     pub fn run_on(&self, artifact: &BuiltArtifact) -> Result<SystemStats, SimError> {
-        self.run_probed_on(artifact, None)
+        Ok(self.run_probed_on(artifact, None)?.0)
     }
 
-    fn run_probed_on(
+    /// Runs over `artifact`, observing at `observe` when given; the
+    /// report is `Some` exactly when `observe` is.
+    pub(crate) fn run_probed_on(
         &self,
         artifact: &BuiltArtifact,
-        probe: Option<&Probe>,
-    ) -> Result<SystemStats, SimError> {
+        observe: Option<ObsConfig>,
+    ) -> Result<(SystemStats, Option<ObsReport>), SimError> {
         let cfg = self.config()?;
         let huge = self.resolve_huge_regions(artifact.regions())?;
         let mut system = System::try_new_placed(
@@ -647,13 +649,13 @@ impl Sim {
             artifact.mem().clone(),
             &huge,
         )?;
-        if let Some(p) = probe {
-            system.attach_probe(p.clone());
+        if let Some(obs) = observe {
+            system.attach_probe(Probe::new(&obs));
         }
         if let Some(budget) = self.event_budget {
             system.set_event_budget(budget);
         }
-        system.try_run().map_err(|e| match e {
+        let stats = system.try_run().map_err(|e| match e {
             RunError::EventBudgetExceeded { events, stats } => {
                 SimError::EventBudgetExceeded { events, stats }
             }
@@ -664,7 +666,8 @@ impl Sim {
             RunError::Deadlock { unfinished, cores } => panic!(
                 "event queue drained with {unfinished} of {cores} cores unfinished (deadlock)"
             ),
-        })
+        })?;
+        Ok((stats, system.obs_report()))
     }
 
     /// Builds the workload and runs the simulation.
@@ -673,10 +676,10 @@ impl Sim {
     }
 
     /// [`Sim::run_on`] with observation: attaches a probe at the level
-    /// set by [`Sim::observe`] (defaulting to
-    /// [`ObsConfig::metrics`] when unset or explicitly off) and returns
-    /// the harvested [`ObsReport`] next to the statistics. The
-    /// statistics are bit-identical to the unobserved run.
+    /// set by [`Sim::observe`] (defaulting to [`ObsConfig::metrics`]
+    /// when unset) and returns the harvested [`ObsReport`] next to the
+    /// statistics. The statistics are bit-identical to the unobserved
+    /// run.
     ///
     /// # Errors
     ///
@@ -685,16 +688,9 @@ impl Sim {
         &self,
         artifact: &BuiltArtifact,
     ) -> Result<(SystemStats, ObsReport), SimError> {
-        let obs = self
-            .observe
-            .filter(ObsConfig::enabled)
-            .unwrap_or_else(ObsConfig::metrics);
-        let probe = Probe::new(&obs);
-        let stats = self.run_probed_on(artifact, Some(&probe))?;
-        let report = probe
-            .finish_into_report(stats.runtime)
-            .expect("probe built from an enabled config");
-        Ok((stats, report))
+        let obs = self.observe.unwrap_or_else(ObsConfig::metrics);
+        let (stats, report) = self.run_probed_on(artifact, Some(obs))?;
+        Ok((stats, report.expect("an attached probe reports")))
     }
 
     /// Builds the workload and runs with observation; see

@@ -756,20 +756,15 @@ where
 }
 
 /// Runs one cell over its shared artifact, observing at `observe` when
-/// that is enabled. Statistics are identical either way; only the
-/// summary is extra.
+/// given. Statistics are identical either way; only the summary is
+/// extra.
 fn run_cell(
     sim: &Sim,
     artifact: &BuiltArtifact,
     observe: Option<ObsConfig>,
 ) -> Result<(SystemStats, Option<ObsSummary>), SimError> {
-    match observe.filter(ObsConfig::enabled) {
-        Some(cfg) => {
-            let (stats, report) = sim.clone().observe(cfg).run_observed_on(artifact)?;
-            Ok((stats, Some(report.summary())))
-        }
-        None => Ok((sim.run_on(artifact)?, None)),
-    }
+    let (stats, report) = sim.run_probed_on(artifact, observe)?;
+    Ok((stats, report.map(|r| r.summary())))
 }
 
 /// Mixes the template seed with the cell's input coordinates (workload

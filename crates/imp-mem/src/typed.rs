@@ -158,11 +158,6 @@ impl BitVecRef {
         self.base
     }
 
-    /// Number of bits.
-    pub fn len_bits(&self) -> u64 {
-        self.bits
-    }
-
     /// Byte address holding bit `i`: `base + (i >> 3)`. This is exactly
     /// the address the workload's `A[B[i]]` access touches with
     /// coefficient 1/8.

@@ -203,12 +203,6 @@ impl Mesh {
     pub fn messages(&self) -> u64 {
         self.messages
     }
-
-    /// Average hop distance from `src` to all tiles (diagnostic).
-    pub fn mean_distance_from(&self, src: u32) -> f64 {
-        let total: u32 = (0..self.tiles()).map(|t| self.hops(src, t)).sum();
-        f64::from(total) / f64::from(self.tiles())
-    }
 }
 
 /// Tiles hosting the memory controllers: a diagonal ("diamond"-style)

@@ -105,11 +105,6 @@ impl EpochSampler {
     pub fn samples(&self) -> &[EpochSample] {
         &self.samples
     }
-
-    /// Consumes the sampler, returning the closed windows.
-    pub fn into_samples(self) -> Vec<EpochSample> {
-        self.samples
-    }
 }
 
 #[cfg(test)]

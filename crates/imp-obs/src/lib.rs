@@ -7,12 +7,16 @@
 //! * **log2-bucketed [`Histogram`]s** of demand-miss latency, page-walk
 //!   latency and prefetch-to-use distance — distribution shape, not
 //!   just sum/count;
-//! * **a prefetch-timeliness [`Ledger`]**: every tracked prefetch
-//!   follows issue → fill → exactly one of {used, late,
-//!   evicted-unused}, per PC and per [`imp_common::stats::AccessClass`];
 //! * **epoch samples** ([`EpochSample`]): per-N-cycle counter deltas
 //!   plus per-window latency histograms, the time-resolved view of
 //!   phase behavior (what an adaptive prefetcher manager keys on).
+//!
+//! The **prefetch-timeliness [`Ledger`]** lives here too, but the
+//! simulator keeps it: every tracked prefetch follows issue → fill →
+//! exactly one of {used, late, evicted-unused}, per PC, per
+//! [`imp_common::stats::AccessClass`] and per chain hop. The simulator
+//! decides each fate in its one ledger and tells the probe what it
+//! decided; the [`ObsReport`] carries a finished copy of that ledger.
 //!
 //! A disabled probe ([`Probe::disabled`], the default) is a single
 //! `Option` check per call site — the simulator's statistics and
@@ -24,16 +28,22 @@
 //! ```
 //! use imp_common::stats::AccessClass;
 //! use imp_common::{LineAddr, Pc};
-//! use imp_obs::{ObsConfig, Probe};
+//! use imp_obs::{Ledger, ObsConfig, Probe};
 //!
 //! let probe = Probe::new(&ObsConfig::metrics().with_epoch(1000));
+//! let mut ledger = Ledger::default();
 //! let (core, line, pc) = (0, LineAddr::from_line_number(4), Pc::new(0x40));
-//! probe.prefetch_issue(core, line, pc, AccessClass::Indirect, 1, 100);
-//! probe.prefetch_fill(core, line, 250);
-//! probe.prefetch_first_use(core, line, 300);
-//! let report = probe.finish_into_report(5_000).unwrap();
-//! assert_eq!(report.ledger_total.used, 1);
-//! assert!(report.reconciles());
+//! ledger.issue(core, line, pc, AccessClass::Indirect, 1, 100);
+//! probe.prefetch_issue(100);
+//! let outcome = ledger.fill(core, line, 250);
+//! probe.prefetch_fill(core, line, outcome, 250);
+//! if let Some(distance) = ledger.first_use(core, line, 300) {
+//!     probe.prefetch_first_use(core, line, distance, 300);
+//! }
+//! let report = probe.finish_into_report(5_000, &ledger).unwrap();
+//! assert_eq!(report.ledger.total().used, 1);
+//! assert!(report.ledger.reconciles());
+//! assert_eq!(report.use_distance.count(), 1);
 //! assert_eq!(report.epochs.len(), 5);
 //! ```
 
@@ -49,17 +59,14 @@ pub use ledger::{merge_counts, FillOutcome, Ledger, LedgerCounts, MAX_HOPS};
 pub use ring::TraceRing;
 pub use trace::{EventKind, Trace, TraceEvent, Track};
 
-use imp_common::stats::AccessClass;
 use imp_common::{Cycle, LineAddr, Pc};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// What to observe. The default observes nothing and builds a disabled
-/// (no-op) probe.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// What an enabled probe records beyond its histograms: an event trace
+/// and epoch samples, each optional.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Maintain histograms and the timeliness ledger.
-    pub metrics: bool,
     /// Record typed events into a ring of this capacity.
     pub trace_capacity: Option<usize>,
     /// Snapshot counter deltas every this many simulated cycles.
@@ -67,24 +74,18 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Observe nothing (the no-op probe).
-    pub fn off() -> Self {
-        ObsConfig::default()
-    }
-
-    /// Histograms + timeliness ledger, no trace, no epochs.
+    /// Histograms only: no trace, no epochs.
     pub fn metrics() -> Self {
         ObsConfig {
-            metrics: true,
-            ..ObsConfig::default()
+            trace_capacity: None,
+            epoch: None,
         }
     }
 
-    /// Everything on: metrics, a `capacity`-event trace ring, and
+    /// Everything on: histograms, a `capacity`-event trace ring, and
     /// `epoch`-cycle sampling.
     pub fn full(capacity: usize, epoch: Cycle) -> Self {
         ObsConfig {
-            metrics: true,
             trace_capacity: Some(capacity),
             epoch: Some(epoch),
         }
@@ -103,23 +104,16 @@ impl ObsConfig {
         self.epoch = Some(cycles);
         self
     }
-
-    /// Whether anything at all is observed.
-    pub fn enabled(&self) -> bool {
-        self.metrics || self.trace_capacity.is_some() || self.epoch.is_some()
-    }
 }
 
-/// The recording state behind an enabled probe. Histograms and the
-/// ledger are always maintained while enabled (the trace's flight
-/// spans and the epochs' deltas are derived from them); the trace ring
-/// and epoch sampler follow the config.
+/// The recording state behind an enabled probe. Histograms are always
+/// maintained while enabled; the trace ring and epoch sampler follow
+/// the config.
 #[derive(Debug)]
 struct Recorder {
     demand_latency: Histogram,
     walk_latency: Histogram,
     use_distance: Histogram,
-    ledger: Ledger,
     trace: Option<Trace>,
     epochs: Option<EpochSampler>,
 }
@@ -130,7 +124,6 @@ impl Recorder {
             demand_latency: Histogram::new(),
             walk_latency: Histogram::new(),
             use_distance: Histogram::new(),
-            ledger: Ledger::default(),
             trace: cfg.trace_capacity.map(Trace::new),
             epochs: cfg.epoch.map(EpochSampler::new),
         }
@@ -165,14 +158,9 @@ impl Probe {
         Probe(None)
     }
 
-    /// A probe recording per `cfg` (disabled if `cfg` observes
-    /// nothing).
+    /// A probe recording per `cfg`.
     pub fn new(cfg: &ObsConfig) -> Self {
-        if cfg.enabled() {
-            Probe(Some(Rc::new(RefCell::new(Recorder::new(cfg)))))
-        } else {
-            Probe(None)
-        }
+        Probe(Some(Rc::new(RefCell::new(Recorder::new(cfg)))))
     }
 
     /// Whether this probe records anything.
@@ -212,22 +200,11 @@ impl Probe {
         });
     }
 
-    /// A prefetch MSHR entry was newly allocated on `core` for `line`;
-    /// `hop` is the issuing pattern's chain hop (0 for sequential).
+    /// A prefetch MSHR entry was newly allocated at `now`.
     #[inline]
-    pub fn prefetch_issue(
-        &self,
-        core: u32,
-        line: LineAddr,
-        pc: Pc,
-        class: AccessClass,
-        hop: u8,
-        now: Cycle,
-    ) {
+    pub fn prefetch_issue(&self, now: Cycle) {
         let Some(r) = &self.0 else { return };
-        let mut r = r.borrow_mut();
-        r.ledger.issue(core, line, pc, class, hop, now);
-        if let Some(e) = r.tick(now) {
+        if let Some(e) = r.borrow_mut().tick(now) {
             e.pf_issued += 1;
         }
     }
@@ -238,7 +215,6 @@ impl Probe {
     pub fn prefetch_demand_merge(&self, core: u32, line: LineAddr, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        r.ledger.demand_merge(core, line);
         if let Some(e) = r.tick(now) {
             e.pf_late += 1;
         }
@@ -252,12 +228,12 @@ impl Probe {
         });
     }
 
-    /// A prefetch fill reached `core`'s L1 for `line`.
+    /// A prefetch fill reached `core`'s L1 for `line`; `outcome` is what
+    /// the ledger's [`Ledger::fill`] made of it.
     #[inline]
-    pub fn prefetch_fill(&self, core: u32, line: LineAddr, now: Cycle) {
+    pub fn prefetch_fill(&self, core: u32, line: LineAddr, outcome: FillOutcome, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        let outcome = r.ledger.fill(core, line, now);
         if let Some(e) = r.tick(now) {
             e.pf_fills += 1;
         }
@@ -273,14 +249,13 @@ impl Probe {
         }
     }
 
-    /// First demand touch of a prefetched resident `line` on `core`.
+    /// First demand touch of a prefetched resident `line` on `core`,
+    /// `distance` cycles after its fill (the ledger's
+    /// [`Ledger::first_use`] closed the entry).
     #[inline]
-    pub fn prefetch_first_use(&self, core: u32, line: LineAddr, now: Cycle) {
+    pub fn prefetch_first_use(&self, core: u32, line: LineAddr, distance: Cycle, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        let Some(distance) = r.ledger.first_use(core, line, now) else {
-            return;
-        };
         r.use_distance.record(distance);
         if let Some(e) = r.tick(now) {
             e.pf_used += 1;
@@ -296,14 +271,12 @@ impl Probe {
     }
 
     /// A prefetched `line` left `core`'s L1 without ever being
-    /// demand-touched.
+    /// demand-touched (the ledger's [`Ledger::evicted_unused`] closed
+    /// the entry).
     #[inline]
     pub fn prefetch_evicted_unused(&self, core: u32, line: LineAddr, now: Cycle) {
         let Some(r) = &self.0 else { return };
         let mut r = r.borrow_mut();
-        if !r.ledger.evicted_unused(core, line) {
-            return;
-        }
         if let Some(e) = r.tick(now) {
             e.pf_evicted_unused += 1;
         }
@@ -401,27 +374,25 @@ impl Probe {
         });
     }
 
-    /// Closes the run at `runtime` and extracts the report. Returns
-    /// `None` for a disabled probe. Callable on any clone; the report
-    /// reflects everything every clone recorded.
-    pub fn finish_into_report(&self, runtime: Cycle) -> Option<ObsReport> {
+    /// Closes the run at `runtime` and extracts the report around a
+    /// finished copy of `ledger`, the run's timeliness ledger (the
+    /// caller's ledger stays open). Returns `None` for a disabled
+    /// probe. Callable on any clone; the report reflects everything
+    /// every clone recorded.
+    pub fn finish_into_report(&self, runtime: Cycle, ledger: &Ledger) -> Option<ObsReport> {
         let r = self.0.as_ref()?;
         let mut r = r.borrow_mut();
-        r.ledger.finish();
         if let Some(e) = r.epochs.as_mut() {
             e.finish(runtime);
         }
+        let mut ledger = ledger.clone();
+        ledger.finish();
         Some(ObsReport {
             runtime,
             demand_latency: r.demand_latency.clone(),
             walk_latency: r.walk_latency.clone(),
             use_distance: r.use_distance.clone(),
-            ledger_total: *r.ledger.total(),
-            ledger_per_pc: r.ledger.per_pc(),
-            ledger_per_class: *r.ledger.per_class(),
-            ledger_per_hop: *r.ledger.per_hop(),
-            untracked_fills: r.ledger.untracked_fills(),
-            inflight_at_end: r.ledger.inflight_at_end(),
+            ledger,
             epochs: r
                 .epochs
                 .as_ref()
@@ -471,20 +442,9 @@ pub struct ObsReport {
     pub walk_latency: Histogram,
     /// Prefetch-to-use distance distribution (fill → first touch).
     pub use_distance: Histogram,
-    /// Ledger totals over every tracked prefetch.
-    pub ledger_total: LedgerCounts,
-    /// Ledger counts per prefetch-triggering PC, sorted by PC.
-    pub ledger_per_pc: Vec<(Pc, LedgerCounts)>,
-    /// Ledger counts per [`AccessClass`].
-    pub ledger_per_class: [LedgerCounts; AccessClass::ALL.len()],
-    /// Ledger counts per chain hop (index 0 = sequential prefetches,
-    /// index `h` = indirect hop `h`; deeper hops fold into the last
-    /// bucket).
-    pub ledger_per_hop: [LedgerCounts; MAX_HOPS],
-    /// Prefetch fills that merged into demand entries (untracked).
-    pub untracked_fills: u64,
-    /// Tracked prefetches never filled by run end.
-    pub inflight_at_end: u64,
+    /// The run's prefetch-timeliness ledger, finished: every tracked
+    /// fill has exactly one fate.
+    pub ledger: Ledger,
     /// Epoch time series (empty unless epoch sampling was configured).
     pub epochs: Vec<EpochSample>,
     /// The event trace (None unless tracing was configured).
@@ -492,20 +452,10 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// The acceptance invariant: every tracked fill has exactly one
-    /// outcome — `fills == used + late + evicted_unused`.
-    pub fn reconciles(&self) -> bool {
-        let t = &self.ledger_total;
-        t.fills == t.used + t.late + t.evicted_unused
-    }
-
-    /// The per-hop form of the invariant: each hop bucket reconciles on
-    /// its own and the buckets sum back to the total.
+    /// The per-hop form of the ledger's invariant; see
+    /// [`Ledger::reconciles_per_hop`].
     pub fn reconciles_per_hop(&self) -> bool {
-        self.ledger_per_hop
-            .iter()
-            .all(|c| c.fills == c.used + c.late + c.evicted_unused)
-            && merge_counts(self.ledger_per_hop.iter()) == self.ledger_total
+        self.ledger.reconciles_per_hop()
     }
 
     /// The small, thread-portable summary sweeps attach per cell.
@@ -515,8 +465,8 @@ impl ObsReport {
             demand_p99: self.demand_latency.quantile(0.99),
             walk_p99: self.walk_latency.quantile(0.99),
             use_distance_p50: self.use_distance.quantile(0.5),
-            ledger: self.ledger_total,
-            per_hop: self.ledger_per_hop,
+            ledger: *self.ledger.total(),
+            per_hop: *self.ledger.per_hop(),
             epochs: self.epochs.len(),
         }
     }
@@ -546,6 +496,7 @@ pub struct ObsSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imp_common::stats::AccessClass;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::from_line_number(n)
@@ -556,9 +507,9 @@ mod tests {
         let p = Probe::disabled();
         assert!(!p.is_enabled());
         p.demand_complete(0, Pc::new(1), line(1), 0, 100);
-        p.prefetch_issue(0, line(1), Pc::new(1), AccessClass::Stream, 0, 0);
-        assert!(p.finish_into_report(1000).is_none());
-        assert!(!Probe::new(&ObsConfig::off()).is_enabled());
+        p.prefetch_issue(0);
+        assert!(p.finish_into_report(1000, &Ledger::default()).is_none());
+        assert!(Probe::new(&ObsConfig::metrics()).is_enabled());
         assert!(!CoreProbe::disabled().is_enabled());
     }
 
@@ -568,7 +519,7 @@ mod tests {
         let core_view = p.for_core(3);
         core_view.demand_complete(Pc::new(0x8), line(2), 100, 250);
         p.demand_complete(1, Pc::new(0x8), line(3), 10, 20);
-        let report = p.finish_into_report(500).unwrap();
+        let report = p.finish_into_report(500, &Ledger::default()).unwrap();
         assert_eq!(report.demand_latency.count(), 2);
         assert_eq!(report.demand_latency.sum(), 160);
     }
@@ -576,26 +527,34 @@ mod tests {
     #[test]
     fn full_config_records_all_layers() {
         let p = Probe::new(&ObsConfig::full(64, 100));
+        let mut ledger = Ledger::default();
         let pc = Pc::new(0x40);
-        p.prefetch_issue(0, line(1), pc, AccessClass::Indirect, 1, 10);
-        p.prefetch_fill(0, line(1), 120);
-        p.prefetch_first_use(0, line(1), 150);
-        p.prefetch_issue(0, line(2), pc, AccessClass::Indirect, 2, 20);
+        // Timely and used at hop 1.
+        ledger.issue(0, line(1), pc, AccessClass::Indirect, 1, 10);
+        p.prefetch_issue(10);
+        p.prefetch_fill(0, line(1), ledger.fill(0, line(1), 120), 120);
+        let distance = ledger.first_use(0, line(1), 150).unwrap();
+        p.prefetch_first_use(0, line(1), distance, 150);
+        // Late at hop 2.
+        ledger.issue(0, line(2), pc, AccessClass::Indirect, 2, 20);
+        p.prefetch_issue(20);
+        ledger.demand_merge(0, line(2));
         p.prefetch_demand_merge(0, line(2), 60);
-        p.prefetch_fill(0, line(2), 130);
+        p.prefetch_fill(0, line(2), ledger.fill(0, line(2), 130), 130);
         p.translation(0, 0x1234, 200, 40, 4);
         p.translation(0, 0x5678, 300, 8, 0); // L2 hit: not a walk
         p.translation(0, 0x9abc, 310, 0, 0); // zero-latency L2 hit: recorded
         p.barrier_wait(1, 400, 450);
         p.coh_msg(2, 3, line(9), 410);
         p.dir_invalidate(2, line(9), None, 415);
-        let report = p.finish_into_report(500).unwrap();
-        assert!(report.reconciles());
+        let report = p.finish_into_report(500, &ledger).unwrap();
+        assert!(report.ledger.reconciles());
         assert!(report.reconciles_per_hop());
-        assert_eq!(report.ledger_total.fills, 2);
-        assert_eq!((report.ledger_total.used, report.ledger_total.late), (1, 1));
-        assert_eq!(report.ledger_per_hop[1].used, 1);
-        assert_eq!(report.ledger_per_hop[2].late, 1);
+        let total = report.ledger.total();
+        assert_eq!(total.fills, 2);
+        assert_eq!((total.used, total.late), (1, 1));
+        assert_eq!(report.ledger.per_hop()[1].used, 1);
+        assert_eq!(report.ledger.per_hop()[2].late, 1);
         assert_eq!(report.walk_latency.count(), 1);
         assert_eq!(report.use_distance.count(), 1);
         assert_eq!(report.use_distance.sum(), 30);
@@ -606,6 +565,8 @@ mod tests {
         let l2_hits = trace.iter().filter(|e| e.kind == EventKind::L2TlbHit);
         assert_eq!(l2_hits.count(), 2);
         assert!(trace.iter().any(|e| e.kind == EventKind::DirInvalidate));
+        let flights = trace.iter().filter(|e| e.kind == EventKind::PrefetchFlight);
+        assert_eq!(flights.count(), 2, "one flight span per tracked fill");
         let json = trace.to_chrome_json();
         assert!(json.contains("prefetch_first_use"));
         let s = report.summary();
@@ -615,5 +576,18 @@ mod tests {
         assert_eq!(s.epochs, 5);
         assert!(s.demand_p50.is_none(), "no demand misses recorded");
         assert!(s.use_distance_p50.is_some());
+    }
+
+    #[test]
+    fn the_report_finishes_a_copy_of_the_ledger() {
+        let p = Probe::new(&ObsConfig::metrics());
+        let mut ledger = Ledger::default();
+        ledger.issue(0, line(1), Pc::new(0x40), AccessClass::Stream, 0, 10);
+        ledger.fill(0, line(1), 20);
+        let report = p.finish_into_report(100, &ledger).unwrap();
+        assert_eq!(report.ledger.total().evicted_unused, 1, "resident at end");
+        // The caller's ledger stays open: the line can still be used.
+        assert_eq!(ledger.first_use(0, line(1), 30), Some(10));
+        assert_eq!(ledger.total().evicted_unused, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The feedback/control plane of the prefetcher API.
 //!
 //! On every epoch boundary an adaptive manager distills the simulator's
-//! timeliness ledger (plus traffic and TLB signals) into a [`Feedback`]
+//! timeliness ledger (plus the TLB-drop signal) into a [`Feedback`]
 //! digest, hands it to its policy and to each core's prefetcher via
 //! [`L1Prefetcher::on_feedback`](crate::L1Prefetcher::on_feedback), and
 //! applies the merged [`Control`] until the next epoch: requests from
@@ -17,7 +17,6 @@
 //! inflight_at_end`).
 
 use imp_common::config::PrefetcherSpec;
-use imp_common::stats::AccessClass;
 use imp_common::{Cycle, Pc};
 use imp_obs::LedgerCounts;
 
@@ -37,22 +36,14 @@ pub struct Feedback {
     /// Per-PC ledger deltas (sorted by PC; PCs with all-zero deltas
     /// are omitted).
     pub per_pc: Vec<(Pc, LedgerCounts)>,
-    /// Ledger deltas per [`AccessClass`].
-    pub per_class: [LedgerCounts; AccessClass::ALL.len()],
     /// Ledger deltas per chain hop (index 0 = sequential prefetches,
     /// index `h` = indirect hop `h`; hops past the array are folded
     /// into the last bucket). Lets a policy watch deep-chase accuracy
     /// separately from the primary hop.
     pub per_hop: [LedgerCounts; imp_obs::MAX_HOPS],
-    /// Demand misses issued this epoch.
-    pub demand_misses: u64,
     /// Prefetch translations dropped by the TLB (`DropOnMiss`) this
     /// epoch — the pressure signal behind the demote-IMP rule.
     pub tlb_prefetch_drops: u64,
-    /// NoC flit-hops accumulated this epoch.
-    pub noc_flit_hops: u64,
-    /// DRAM bytes (read + write) moved this epoch.
-    pub dram_bytes: u64,
 }
 
 impl Feedback {

@@ -38,7 +38,7 @@ pub use system::{BuildError, RunError, System, DEFAULT_EVENT_BUDGET};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imp_common::config::{MemMode, PartialMode, PrefetcherKind};
+    use imp_common::config::{MemMode, PartialMode};
     use imp_common::stats::AccessClass;
     use imp_common::{Addr, Pc, SectorMask, SystemConfig};
     use imp_mem::{AddressSpace, FunctionalMemory};
@@ -141,7 +141,7 @@ mod tests {
         let base = run(SystemConfig::paper_default(16), p, mem);
 
         let (p2, mem2, _) = indirect_program(16, 400, false);
-        let cfg = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp);
+        let cfg = SystemConfig::paper_default(16).with_prefetcher("imp");
         let imp = run(cfg, p2, mem2);
 
         assert!(
@@ -162,7 +162,7 @@ mod tests {
         let perf = run(cfg, p, mem);
 
         let (p2, mem2, _) = indirect_program(16, 400, false);
-        let cfg2 = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp);
+        let cfg2 = SystemConfig::paper_default(16).with_prefetcher("imp");
         let imp = run(cfg2, p2, mem2);
 
         let (p3, mem3, _) = indirect_program(16, 400, false);
@@ -204,12 +204,12 @@ mod tests {
     #[test]
     fn partial_mode_reduces_noc_traffic_with_imp() {
         let (p, mem, _) = indirect_program(16, 400, false);
-        let cfg = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp);
+        let cfg = SystemConfig::paper_default(16).with_prefetcher("imp");
         let full = run(cfg, p, mem);
 
         let (p2, mem2, _) = indirect_program(16, 400, false);
         let cfg2 = SystemConfig::paper_default(16)
-            .with_prefetcher(PrefetcherKind::Imp)
+            .with_prefetcher("imp")
             .with_partial(PartialMode::NocAndDram);
         let part = run(cfg2, p2, mem2);
 
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let (p, mem, _) = indirect_program(16, 200, false);
-        let cfg = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp);
+        let cfg = SystemConfig::paper_default(16).with_prefetcher("imp");
         let a = run(cfg.clone(), p, mem);
         let (p2, mem2, _) = indirect_program(16, 200, false);
         let b = run(cfg, p2, mem2);
@@ -246,7 +246,7 @@ mod tests {
         use imp_common::{TlbConfig, TranslationPolicy};
         let (p, mem, _) = indirect_program(16, 300, false);
         let ideal = run(
-            SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp),
+            SystemConfig::paper_default(16).with_prefetcher("imp"),
             p,
             mem,
         );
@@ -256,7 +256,7 @@ mod tests {
             .with_policy(TranslationPolicy::Ideal);
         let finite = run(
             SystemConfig::paper_default(16)
-                .with_prefetcher(PrefetcherKind::Imp)
+                .with_prefetcher("imp")
                 .with_tlb(zero_cost),
             p2,
             mem2,
@@ -273,7 +273,7 @@ mod tests {
     fn drop_on_miss_drops_indirect_prefetches_and_walks_stall() {
         use imp_common::{TlbConfig, TranslationPolicy};
         let (p, mem, _) = indirect_program(16, 400, false);
-        let base_cfg = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp);
+        let base_cfg = SystemConfig::paper_default(16).with_prefetcher("imp");
         let ideal = run(base_cfg.clone(), p, mem);
 
         let (p2, mem2, _) = indirect_program(16, 400, false);
@@ -572,16 +572,15 @@ mod tests {
         use imp_common::{TlbConfig, TranslationPolicy};
         let cfg = || {
             SystemConfig::paper_default(16)
-                .with_prefetcher(PrefetcherKind::Imp)
+                .with_prefetcher("imp")
                 .with_tlb(TlbConfig::finite().with_policy(TranslationPolicy::NonBlockingWalk))
         };
         let (p, mem, _) = indirect_program(16, 300, false);
         let bare = run(cfg(), p, mem);
 
         let (p2, mem2, _) = indirect_program(16, 300, false);
-        let probe = imp_obs::Probe::new(&imp_obs::ObsConfig::full(4096, 1000));
         let mut sys = System::new(cfg(), p2, mem2);
-        sys.attach_probe(probe.clone());
+        sys.attach_probe(imp_obs::Probe::new(&imp_obs::ObsConfig::full(4096, 1000)));
         let probed = sys.run();
 
         // Observation never changes the simulation.
@@ -590,30 +589,26 @@ mod tests {
         assert_eq!(bare.prefetch, probed.prefetch);
         assert_eq!(bare.traffic, probed.traffic);
 
-        let report = probe
-            .finish_into_report(probed.runtime)
-            .expect("probe was enabled");
+        let report = sys.obs_report().expect("probe was enabled");
+        let t = *report.ledger.total();
         assert!(
-            report.reconciles(),
+            report.ledger.reconciles(),
             "fills {} != used {} + late {} + evicted_unused {}",
-            report.ledger_total.fills,
-            report.ledger_total.used,
-            report.ledger_total.late,
-            report.ledger_total.evicted_unused
+            t.fills,
+            t.used,
+            t.late,
+            t.evicted_unused
         );
         // Ledger counts mirror the prefetch statistics they ride along:
         // exact for issues (no sw prefetches here), bounded for the
         // rest (untracked fills — prefetches merged into existing MSHR
         // entries — are excluded from the ledger by design).
         let pf = probed.prefetch_total();
-        assert_eq!(
-            report.ledger_total.issued,
-            pf.issued_stream + pf.issued_indirect
-        );
-        assert!(report.ledger_total.used <= pf.covered);
-        assert!(report.ledger_total.late <= pf.late);
-        assert!(report.ledger_total.used > 0, "some prefetch was covered");
-        assert!(!report.ledger_per_pc.is_empty());
+        assert_eq!(t.issued, pf.issued_stream + pf.issued_indirect);
+        assert!(t.used <= pf.covered);
+        assert!(t.late <= pf.late);
+        assert!(t.used > 0, "some prefetch was covered");
+        assert!(!report.ledger.per_pc().is_empty());
         assert!(report.demand_latency.count() > 0);
         assert!(report.walk_latency.count() > 0, "finite TLB must walk");
         assert!(!report.epochs.is_empty());
@@ -624,11 +619,26 @@ mod tests {
     }
 
     #[test]
+    fn collecting_statistics_twice_returns_the_same_numbers() {
+        let (p, mem, _) = indirect_program(16, 300, false);
+        let mut sys = System::new(
+            SystemConfig::paper_default(16).with_prefetcher("imp"),
+            p,
+            mem,
+        );
+        let first = sys.try_run().unwrap();
+        let again = sys.try_run().unwrap();
+        let pf = first.prefetch_total();
+        assert!(pf.useful + pf.unused > 0, "the final sweep counts lines");
+        assert_eq!(first, again);
+    }
+
+    #[test]
     fn ghb_does_not_help_fresh_indirect_streams() {
         let (p, mem, _) = indirect_program(16, 300, false);
         let base = run(SystemConfig::paper_default(16), p, mem);
         let (p2, mem2, _) = indirect_program(16, 300, false);
-        let cfg = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Ghb);
+        let cfg = SystemConfig::paper_default(16).with_prefetcher("ghb");
         let ghb = run(cfg, p2, mem2);
         // Within a few percent of baseline (the paper: "no benefits").
         let ratio = ghb.runtime as f64 / base.runtime as f64;

@@ -18,14 +18,13 @@ use imp_common::stats::{
     AccessClass, CoreStats, PrefetchStats, SystemStats, TlbStats, TrafficStats,
 };
 use imp_common::{
-    Addr, Cycle, EventQueue, FastMap, LineAddr, SectorMask, SystemConfig, L2_SECTOR_BYTES,
-    LINE_BYTES,
+    Addr, Cycle, EventQueue, LineAddr, SectorMask, SystemConfig, L2_SECTOR_BYTES, LINE_BYTES,
 };
 use imp_cpu::{CoreBlock, CoreEngine, InOrderCore, MemPort, MemResult, OooCore};
 use imp_dram::{Ddr3Dram, Ddr3Timing, DramModel, FixedLatencyDram};
 use imp_mem::FunctionalMemory;
 use imp_noc::{mc_for_line, mc_tiles, Mesh};
-use imp_obs::{CoreProbe, Ledger, Probe};
+use imp_obs::{CoreProbe, Ledger, ObsReport, Probe};
 use imp_prefetch::registry::{self, BuildCtx, RegistryError};
 use imp_prefetch::{
     class_of, Access, Control, IndexValueSource, L1Prefetcher, NullPrefetcher, PrefetchCtx,
@@ -167,22 +166,16 @@ impl From<ManagerError> for BuildError {
 }
 
 /// The adaptive control plane's run state: a [`Manager`] (epoch length
-/// and policy), its private timeliness [`Ledger`] (fed from the same
-/// sites as the observability probe, unconditionally — management must
-/// work without a probe attached), the [`EpochTracker`] that turns the
-/// cumulative ledger into per-epoch deltas, and the [`Control`]
-/// currently in force.
+/// and policy), the [`EpochTracker`] that turns the fabric's cumulative
+/// ledger into per-epoch deltas, and the [`Control`] currently in force.
 struct ManagerState {
     mgr: Manager,
-    ledger: Ledger,
     tracker: EpochTracker,
     /// Cycle at which the next epoch closes.
     next_epoch: Cycle,
     /// The control installed at the last epoch boundary; applied to
     /// every prefetch-request batch until the next boundary.
     control: Control,
-    /// Cumulative demand misses (the tracker turns them into deltas).
-    demand_misses: u64,
     /// The prefetcher spec currently running (switches are applied
     /// once per distinct spec).
     active: PrefetcherSpec,
@@ -277,6 +270,13 @@ struct Fabric {
     /// Per-core views of `probe` handed to prefetchers through
     /// [`PrefetchCtx`] (pre-built so the hot path never clones).
     cprobes: Vec<CoreProbe>,
+    /// The prefetch-timeliness ledger: each tracked prefetch's fate is
+    /// decided here once, at issue, demand merge, fill, first use and
+    /// leaving the L1, and the probe is told what was decided. The
+    /// manager reads it every epoch and the probe's report carries a
+    /// finished copy. Present when a manager runs or an enabled probe
+    /// is attached; `None` otherwise.
+    ledger: Option<Ledger>,
     /// Adaptive manager state; `None` — the default — leaves every
     /// path below bit-identical to an unmanaged build.
     mgr: Option<ManagerState>,
@@ -299,10 +299,10 @@ struct Fabric {
     /// move. Boxed, because each translation takes it out of `self`
     /// and puts it back (see [`Fabric::demand_translate`]).
     vm: Option<Box<Vm>>,
-    // PerfectPrefetch state.
+    // PerfectPrefetch state: the shadow L1s, and per core the
+    // outstanding fetches as (id, issue cycle), oldest first.
     shadow: Vec<SectoredCache>,
-    pp_outstanding: Vec<VecDeque<u64>>,
-    pp_issue: FastMap<u64, Cycle>,
+    pp_outstanding: Vec<VecDeque<(u64, Cycle)>>,
     pp_blocked: Vec<Option<(u64, u64)>>,
     pp_next_id: u64,
 }
@@ -369,16 +369,11 @@ impl Fabric {
         while now >= m.next_epoch {
             let end = m.next_epoch;
             let drops = self.tlb_prefetch_drops_total();
-            let flit_hops = self.mesh.flit_hops();
-            let dram_bytes = self.traffic.dram_read_bytes + self.traffic.dram_write_bytes;
-            let fb = m.tracker.feedback(
-                &m.ledger,
-                end,
-                m.demand_misses,
-                drops,
-                flit_hops,
-                dram_bytes,
-            );
+            let ledger = self
+                .ledger
+                .as_ref()
+                .expect("a managed fabric keeps a ledger");
+            let fb = m.tracker.feedback(ledger, end, drops);
             let mut ctl = m.mgr.on_epoch(&fb);
             for p in &mut self.pref {
                 ctl = ctl.merge(p.on_feedback(&fb));
@@ -639,11 +634,9 @@ impl Fabric {
                         unreachable!("translation-only requests are routed before allocation")
                     }
                 };
-                let hop = req.kind.hop();
-                self.probe
-                    .prefetch_issue(c as u32, line, req.pc, class, hop, now);
-                if let Some(m) = self.mgr.as_mut() {
-                    m.ledger.issue(c as u32, line, req.pc, class, hop, now);
+                if let Some(l) = self.ledger.as_mut() {
+                    l.issue(c as u32, line, req.pc, class, req.kind.hop(), now);
+                    self.probe.prefetch_issue(now);
                 }
                 if sectors != self.l1[c].full_mask() {
                     self.pstats[c].partial_prefetches += 1;
@@ -664,16 +657,13 @@ impl Fabric {
     ) -> MemResult {
         let token = self.next_token;
         self.next_token += 1;
-        if let Some(m) = self.mgr.as_mut() {
-            m.demand_misses += 1;
-        }
         // A merge into a pure-prefetch entry is a late prefetch.
         if let Some(e) = self.mshr[c].get(line) {
             if e.prefetch_only {
                 self.pstats[c].late += 1;
-                self.probe.prefetch_demand_merge(c as u32, line, now);
-                if let Some(m) = self.mgr.as_mut() {
-                    m.ledger.demand_merge(c as u32, line);
+                if let Some(l) = self.ledger.as_mut() {
+                    l.demand_merge(c as u32, line);
+                    self.probe.prefetch_demand_merge(c as u32, line, now);
                 }
             }
         }
@@ -732,9 +722,9 @@ impl Fabric {
             } => {
                 if first_touch_of_prefetch {
                     self.pstats[c].covered += 1;
-                    self.probe.prefetch_first_use(c as u32, line, now);
-                    if let Some(m) = self.mgr.as_mut() {
-                        m.ledger.first_use(c as u32, line, now);
+                    let ledger = self.ledger.as_mut();
+                    if let Some(d) = ledger.and_then(|l| l.first_use(c as u32, line, now)) {
+                        self.probe.prefetch_first_use(c as u32, line, d, now);
                     }
                 }
                 self.pref[c].on_demand_touch(line, touch);
@@ -794,9 +784,9 @@ impl Fabric {
                     self.pref[c].on_demand_touch(msg.line, touch);
                 }
                 Waiter::Prefetch { req } => {
-                    self.probe.prefetch_fill(c as u32, msg.line, now);
-                    if let Some(m) = self.mgr.as_mut() {
-                        m.ledger.fill(c as u32, msg.line, now);
+                    if let Some(l) = self.ledger.as_mut() {
+                        let outcome = l.fill(c as u32, msg.line, now);
+                        self.probe.prefetch_fill(c as u32, msg.line, outcome, now);
                     }
                     let mut src = L1Values {
                         l1: &self.l1[c],
@@ -813,8 +803,7 @@ impl Fabric {
                 }
                 Waiter::SwPrefetch => {}
                 Waiter::PerfPref { id } => {
-                    self.pp_issue.remove(&id);
-                    if let Some(pos) = self.pp_outstanding[c].iter().position(|&x| x == id) {
+                    if let Some(pos) = self.pp_outstanding[c].iter().position(|&(x, _)| x == id) {
                         self.pp_outstanding[c].remove(pos);
                     }
                     if let Some((bid, token)) = self.pp_blocked[c] {
@@ -835,14 +824,14 @@ impl Fabric {
     }
 
     /// A line left core `c`'s L1, by eviction or invalidation: settles
-    /// a prefetched line's outcome in the statistics, the probe and the
-    /// manager's ledger, and tells the prefetcher.
+    /// a prefetched line's outcome in the statistics and the ledger,
+    /// tells the probe, and tells the prefetcher.
     fn l1_left(&mut self, c: usize, ev: &Evicted, now: Cycle) {
         if ev.prefetched_untouched {
             self.pstats[c].unused += 1;
-            self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
-            if let Some(m) = self.mgr.as_mut() {
-                m.ledger.evicted_unused(c as u32, ev.line);
+            let ledger = self.ledger.as_mut();
+            if ledger.is_some_and(|l| l.evicted_unused(c as u32, ev.line)) {
+                self.probe.prefetch_evicted_unused(c as u32, ev.line, now);
             }
         } else if ev.prefetched_touched {
             self.pstats[c].useful += 1;
@@ -1313,8 +1302,7 @@ impl MemPort for Fabric {
                     self.shadow[c].fill(line, SectorMask::FULL_L1, LineState::Shared, false);
                     let id = self.pp_next_id;
                     self.pp_next_id += 1;
-                    self.pp_outstanding[c].push_back(id);
-                    self.pp_issue.insert(id, now);
+                    self.pp_outstanding[c].push_back((id, now));
                     if let MshrAlloc::New =
                         self.mshr[c].alloc(line, SectorMask::FULL_L1, true, Waiter::PerfPref { id })
                     {
@@ -1323,8 +1311,7 @@ impl MemPort for Fabric {
                 }
                 // Throttle: never run more than `lead` cycles past the
                 // oldest incomplete fetch.
-                if let Some(&front) = self.pp_outstanding[c].front() {
-                    let issued = self.pp_issue.get(&front).copied().unwrap_or(now);
+                if let Some(&(front, issued)) = self.pp_outstanding[c].front() {
                     if now.saturating_sub(issued) > self.cfg.perfpref_lead {
                         let token = self.next_token;
                         self.next_token += 1;
@@ -1530,10 +1517,8 @@ impl System {
                     Some(ManagerState {
                         next_epoch: m.epoch_len(),
                         mgr: m,
-                        ledger: Ledger::default(),
                         tracker: EpochTracker::new(),
                         control: Control::none(),
-                        demand_misses: 0,
                         active: cfg.prefetcher.clone(),
                     })
                 } else {
@@ -1589,6 +1574,7 @@ impl System {
             completions: Vec::new(),
             probe: Probe::disabled(),
             cprobes: vec![CoreProbe::disabled(); n],
+            ledger: mgr.as_ref().map(|_| Ledger::default()),
             mgr,
             carried_pref: vec![PrefetcherStats::default(); n],
             req_bufs: Vec::new(),
@@ -1597,7 +1583,6 @@ impl System {
                 .map(|_| SectoredCache::new(cfg.mem.l1d.size_bytes, cfg.mem.l1d.associativity, 1))
                 .collect(),
             pp_outstanding: (0..n).map(|_| VecDeque::new()).collect(),
-            pp_issue: FastMap::default(),
             pp_blocked: vec![None; n],
             pp_next_id: 0,
             vm,
@@ -1617,13 +1602,16 @@ impl System {
     /// Attaches an observability probe: the fabric records prefetch
     /// timeliness, translation, coherence, and barrier events through
     /// it, and each core engine receives a [`imp_obs::CoreProbe`] for
-    /// its demand-miss completions. The caller keeps a clone of the
-    /// probe and harvests results with
-    /// [`imp_obs::Probe::finish_into_report`] after the run.
+    /// its demand-miss completions. An enabled probe gives the fabric a
+    /// timeliness ledger if no manager did. Harvest the results with
+    /// [`System::obs_report`] after the run.
     ///
     /// Probes observe only: attaching one (enabled or not) never
     /// changes timing, statistics, or which lines move.
     pub fn attach_probe(&mut self, probe: Probe) {
+        if probe.is_enabled() {
+            self.fab.ledger.get_or_insert_with(Ledger::default);
+        }
         for (c, core) in self.cores.iter_mut().enumerate() {
             core.attach_probe(probe.for_core(c as u32));
         }
@@ -1631,6 +1619,17 @@ impl System {
             .map(|c| probe.for_core(c as u32))
             .collect();
         self.fab.probe = probe;
+    }
+
+    /// The report of the attached probe, built around a finished copy
+    /// of the fabric's timeliness ledger (the fabric's own ledger stays
+    /// open, so a managed run keeps steering on it). `None` unless an
+    /// enabled probe is attached.
+    pub fn obs_report(&self) -> Option<ObsReport> {
+        let ledger = self.fab.ledger.as_ref()?;
+        let runtime = self.cores.iter().map(|c| c.stats().done_cycle).max();
+        let runtime = runtime.unwrap_or(0);
+        self.fab.probe.finish_into_report(runtime, ledger)
     }
 
     /// Caps the number of events [`System::try_run`] will process before
@@ -1787,25 +1786,27 @@ impl System {
         }
     }
 
-    fn collect_stats(&mut self) -> SystemStats {
+    /// Collects the statistics so far. Everything is folded into the
+    /// returned copy, so repeated collections return the same numbers.
+    fn collect_stats(&self) -> SystemStats {
+        let mut prefetch = self.fab.pstats.clone();
         // Final sweep: resident prefetched lines count toward accuracy.
         for (c, l1) in self.fab.l1.iter().enumerate() {
             for line in l1.iter_lines() {
                 if line.prefetched && line.touched {
-                    self.fab.pstats[c].useful += 1;
+                    prefetch[c].useful += 1;
                 } else if line.prefetched && !line.touched {
-                    self.fab.pstats[c].unused += 1;
+                    prefetch[c].unused += 1;
                 }
             }
         }
         // Merge detection counters from the prefetcher models, plus
         // anything carried over from models replaced by a manager
-        // switch (zero in unmanaged runs). Assignment, not +=, keeps
-        // this idempotent across repeated collections.
+        // switch (zero in unmanaged runs).
         for (c, p) in self.fab.pref.iter().enumerate() {
             let mut s = self.fab.carried_pref[c].clone();
             s += p.stats();
-            let out = &mut self.fab.pstats[c];
+            let out = &mut prefetch[c];
             out.patterns_detected = s.patterns_detected;
             out.detect_failures = s.detect_failures;
             out.value_unavailable = s.value_unavailable;
@@ -1835,7 +1836,7 @@ impl System {
         SystemStats {
             runtime,
             cores,
-            prefetch: self.fab.pstats.clone(),
+            prefetch,
             tlb,
             tlb_huge,
             tlb_l2,

@@ -64,12 +64,12 @@ fn main() {
     assert!(report.walk_latency.count() > 0, "finite TLB walks");
 
     // The timeliness ledger: every tracked fill has exactly one fate.
-    let t = report.ledger_total;
+    let t = report.ledger.total();
     println!(
         "\nprefetch ledger: issued {} fills {} = used {} + late {} + evicted-unused {}",
         t.issued, t.fills, t.used, t.late, t.evicted_unused
     );
-    assert!(report.reconciles(), "ledger invariant: {t:?}");
+    assert!(report.ledger.reconciles(), "ledger invariant: {t:?}");
     assert!(t.used > 0, "IMP prefetches get used on spmv");
     println!(
         "accuracy {:.1}%, timeliness {:.1}%, use-distance p50 {:?}",
@@ -78,7 +78,7 @@ fn main() {
         report.use_distance.quantile(0.5)
     );
     for class in AccessClass::ALL {
-        let c = report.ledger_per_class[class.index()];
+        let c = report.ledger.per_class()[class.index()];
         if c.issued > 0 {
             println!(
                 "  {:<9} issued {:>6} used {:>6} late {:>6}",
@@ -90,8 +90,9 @@ fn main() {
         }
     }
     let hot = report
-        .ledger_per_pc
-        .iter()
+        .ledger
+        .per_pc()
+        .into_iter()
         .max_by_key(|(_, c)| c.issued)
         .expect("at least one prefetching PC");
     println!("  hottest PC {:?}: {} issued", hot.0, hot.1.issued);

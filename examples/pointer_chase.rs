@@ -60,7 +60,7 @@ fn main() {
             .filter(|(_, c)| c.issued > 0)
             .map(|(h, c)| format!("hop{h} {:.2} ({})", c.accuracy(), c.issued))
             .collect();
-        let t = report.ledger_total;
+        let t = report.ledger.total();
         println!(
             "{:<8} {:>10} {:>9.1}% {:>8.1}% {:>9}  {}",
             d,

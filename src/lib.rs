@@ -127,7 +127,7 @@ pub use sim::{Sim, SimError, Sweep, SweepCell, SweepReport, SweepResult};
 /// The most commonly used types, one `use` away.
 pub mod prelude {
     pub use imp_adapt::{DecisionTree, EpochTracker, Manager, ManagerPolicy};
-    pub use imp_common::config::{CoreModel, MemMode, PartialMode, PrefetcherKind};
+    pub use imp_common::config::{CoreModel, MemMode, PartialMode};
     pub use imp_common::config::{
         MemRegion, PagePolicy, ParamValue, PrefetcherSpec, TlbConfig, TranslationPolicy, WalkModel,
     };

@@ -73,7 +73,7 @@ fn per_hop_ledger_reconciles_on_a_chain_run() {
     let deep: u64 = s.per_hop[2..].iter().map(|c| c.issued).sum();
     assert!(deep > 0, "depth 3 reaches past the first hop");
     // Summary buckets mirror the report's.
-    assert_eq!(s.per_hop, report.ledger_per_hop);
+    assert_eq!(&s.per_hop, report.ledger.per_hop());
 }
 
 /// The `chain:<spec>` grammar is the named kernels' builder: an

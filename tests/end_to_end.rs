@@ -18,7 +18,7 @@ fn imp_speeds_up_every_indirect_workload_at_16_cores() {
         let imp = run_cfg(
             app,
             16,
-            SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp),
+            SystemConfig::paper_default(16).with_prefetcher("imp"),
         );
         assert!(
             (imp.runtime as f64) < base.runtime as f64 * 1.02,
@@ -36,7 +36,7 @@ fn imp_is_harmless_on_dense_code() {
     let imp = run_cfg(
         "dense",
         16,
-        SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp),
+        SystemConfig::paper_default(16).with_prefetcher("imp"),
     );
     let ratio = imp.runtime as f64 / base.runtime as f64;
     assert!(
@@ -66,7 +66,7 @@ fn ordering_ideal_fastest_then_perfpref() {
         let imp = run_cfg(
             app,
             16,
-            SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp),
+            SystemConfig::paper_default(16).with_prefetcher("imp"),
         );
         let base = run_cfg(app, 16, SystemConfig::paper_default(16));
         assert!(ideal.runtime <= perf.runtime, "{app}: ideal <= perfpref");
@@ -89,10 +89,10 @@ fn partial_accessing_reduces_noc_traffic() {
         let built = by_name("lsh").unwrap().build(&params);
         System::new(cfg, built.program, built.mem).run()
     };
-    let full = run_small(SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp));
+    let full = run_small(SystemConfig::paper_default(16).with_prefetcher("imp"));
     let partial = run_small(
         SystemConfig::paper_default(16)
-            .with_prefetcher(PrefetcherKind::Imp)
+            .with_prefetcher("imp")
             .with_partial(PartialMode::NocAndDram),
     );
     assert!(
@@ -109,12 +109,12 @@ fn whole_stack_is_deterministic() {
     let a = run_cfg(
         "graph500",
         16,
-        SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp),
+        SystemConfig::paper_default(16).with_prefetcher("imp"),
     );
     let b = run_cfg(
         "graph500",
         16,
-        SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp),
+        SystemConfig::paper_default(16).with_prefetcher("imp"),
     );
     assert_eq!(a.runtime, b.runtime);
     assert_eq!(a.traffic, b.traffic);
@@ -161,7 +161,7 @@ fn out_of_order_core_still_benefits_from_imp() {
         16,
         SystemConfig::paper_default(16)
             .with_core_model(CoreModel::OutOfOrder)
-            .with_prefetcher(PrefetcherKind::Imp),
+            .with_prefetcher("imp"),
     );
     assert!(
         imp_ooo.runtime < base_ooo.runtime,
@@ -177,7 +177,7 @@ fn core_count_scaling_256_cores_runs() {
     let s = run_cfg(
         "spmv",
         256,
-        SystemConfig::paper_default(256).with_prefetcher(PrefetcherKind::Imp),
+        SystemConfig::paper_default(256).with_prefetcher("imp"),
     );
     assert!(s.runtime > 0);
     assert_eq!(s.cores.len(), 256);

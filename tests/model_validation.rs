@@ -1,13 +1,13 @@
 //! Validation of modelling claims the paper makes about its own
 //! methodology (Section 5).
 
-use imp::common::config::{DramModelKind, PrefetcherKind};
+use imp::common::config::DramModelKind;
 use imp::prelude::*;
 
 fn run_with_dram(app: &str, kind: DramModelKind) -> SystemStats {
     let params = WorkloadParams::new(16, Scale::Tiny);
     let built = by_name(app).unwrap().build(&params);
-    let mut cfg = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp);
+    let mut cfg = SystemConfig::paper_default(16).with_prefetcher("imp");
     cfg.mem.dram = kind;
     System::new(cfg, built.program, built.mem).run()
 }
@@ -52,7 +52,7 @@ fn distance_ramp_increases_timeliness() {
     let run_dist = |d: u32| {
         let params = WorkloadParams::new(16, Scale::Tiny);
         let built = by_name("spmv").unwrap().build(&params);
-        let mut cfg = SystemConfig::paper_default(16).with_prefetcher(PrefetcherKind::Imp);
+        let mut cfg = SystemConfig::paper_default(16).with_prefetcher("imp");
         cfg.imp.max_prefetch_distance = d;
         System::new(cfg, built.program, built.mem).run()
     };

@@ -19,24 +19,51 @@ fn spmv_imp() -> Sim {
         .walk_model(WalkModel::Cached)
 }
 
+/// The `spmv/imp/tree-tlb` golden cell: a `tree`-managed run, where the
+/// manager and the probe read one ledger.
+fn spmv_imp_tree_tlb() -> Sim {
+    Sim::workload("spmv")
+        .scale(Scale::Tiny)
+        .cores(16)
+        .prefetcher("imp")
+        .tlb(TlbConfig::finite())
+        .l2_tlb(64, 8)
+        .tlb_prefetch(true)
+        .walk_model(WalkModel::Cached)
+        .manager("tree:epoch=1000")
+}
+
 /// The golden pin: stats from a bare run, a metrics-only run, and a
 /// full-trace run are all bit-identical — switching observation on or
-/// off (or up) can never change a simulated number.
+/// off (or up) can never change a simulated number, managed or not.
 #[test]
 fn probed_runs_are_bit_identical_to_bare_runs() {
-    let bare = spmv_imp().run().unwrap();
-    let (metrics, _) = spmv_imp()
-        .observe(ObsConfig::metrics())
-        .run_observed()
-        .unwrap();
-    let (full, report) = spmv_imp()
-        .observe(ObsConfig::full(4096, 5_000))
-        .run_observed()
-        .unwrap();
-    assert_eq!(bare, metrics, "metrics probe perturbed the run");
-    assert_eq!(bare, full, "tracing probe perturbed the run");
-    assert!(report.reconciles(), "ledger fills all have one fate");
-    assert!(report.trace.is_some(), "full config records a trace");
+    for (name, sim) in [
+        ("spmv/imp", spmv_imp()),
+        ("spmv/imp/tree-tlb", spmv_imp_tree_tlb()),
+    ] {
+        let bare = sim.run().unwrap();
+        let (metrics, _) = sim
+            .clone()
+            .observe(ObsConfig::metrics())
+            .run_observed()
+            .unwrap();
+        let (full, report) = sim
+            .clone()
+            .observe(ObsConfig::full(4096, 5_000))
+            .run_observed()
+            .unwrap();
+        assert_eq!(bare, metrics, "{name}: metrics probe perturbed the run");
+        assert_eq!(bare, full, "{name}: tracing probe perturbed the run");
+        assert!(
+            report.ledger.reconciles(),
+            "{name}: ledger fills all have one fate"
+        );
+        assert!(
+            report.trace.is_some(),
+            "{name}: full config records a trace"
+        );
+    }
 }
 
 /// Identical observed runs produce identical observations: histograms,
@@ -49,8 +76,8 @@ fn observation_is_deterministic() {
     let (_, b) = sim.run_observed().unwrap();
     assert_eq!(a.demand_latency.buckets(), b.demand_latency.buckets());
     assert_eq!(a.walk_latency.buckets(), b.walk_latency.buckets());
-    assert_eq!(a.ledger_total, b.ledger_total);
-    assert_eq!(a.ledger_per_pc, b.ledger_per_pc);
+    assert_eq!(a.ledger.total(), b.ledger.total());
+    assert_eq!(a.ledger.per_pc(), b.ledger.per_pc());
     assert_eq!(a.epochs, b.epochs);
     let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
     assert_eq!(ta.pushes(), tb.pushes());
