@@ -1628,8 +1628,7 @@ impl System {
     pub fn obs_report(&self) -> Option<ObsReport> {
         let ledger = self.fab.ledger.as_ref()?;
         let runtime = self.cores.iter().map(|c| c.stats().done_cycle).max();
-        let runtime = runtime.unwrap_or(0);
-        self.fab.probe.finish_into_report(runtime, ledger)
+        self.fab.probe.finish_into_report(runtime?, ledger)
     }
 
     /// Caps the number of events [`System::try_run`] will process before
