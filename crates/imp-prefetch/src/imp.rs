@@ -1251,4 +1251,113 @@ mod tests {
         }
         assert!(imp.enabled_patterns() <= 4);
     }
+
+    /// Enables a prefetching pattern over 8-byte elements at `base` in
+    /// PT slot `slot`.
+    fn enable(imp: &mut Imp, slot: usize, base: u64) {
+        let p = &mut imp.ind[slot];
+        p.enabled = true;
+        p.prefetching = true;
+        p.shift = 3;
+        p.base = base;
+    }
+
+    #[test]
+    fn a_level_child_retires_after_eight_missed_expectations() {
+        // A primary at hop 1 and its level child at hop 2; the child
+        // holds an IPD entry, a back-off and a deferred retry of its own.
+        let cfg = ImpConfig::paper_default();
+        let initial = cfg.detect_backoff_initial;
+        let mut imp = Imp::new(cfg, false, 1).with_depth(2);
+        let (parent, _, _) = imp.table.observe(Pc::new(1), Addr::new(0x1000), 4);
+        let child = imp.table.alloc_detached(|_| false).unwrap();
+        enable(&mut imp, parent, 0x10_0000);
+        enable(&mut imp, child, 0x20_0000);
+        imp.ind[parent].hop = 1;
+        imp.ind[parent].next_level = Some(child);
+        imp.ind[child].prev = Some(parent);
+        imp.ind[child].hop = 2;
+        let level = owner_of(child, DetectKind::Level);
+        assert!(imp.ipd.try_allocate(level, 7));
+        imp.backoff[child].fail();
+        imp.defer(Deferred {
+            slot: child,
+            index_addr: Addr::new(0x3000),
+            size: 4,
+        });
+        // Each access at `x` meets the parent's expectation and loads
+        // the child's next index; nothing accesses the child's line.
+        let x = Addr::new(0x10_0000 + 8 * 5);
+        let mut src = MapValueSource::new();
+        src.insert(x, 8, 9);
+        for n in 1..=9 {
+            imp.pending[parent] = LineAddr::containing(x).number();
+            imp.on_access_collect(Access::load_hit(Pc::new(2), x, 8), &mut src);
+            // The first access sets the child's expectation; each later
+            // one finds it still pending, and the eighth miss retires it.
+            assert_eq!(
+                imp.ind[parent].next_level.is_some(),
+                n < 9,
+                "linked after {n} accesses"
+            );
+        }
+        assert!(!imp.ind[child].enabled);
+        assert_eq!(imp.ind[child].prev, None);
+        assert_eq!(imp.pending[child], NO_PENDING);
+        assert!(!imp.ipd.has_entry(level), "the child's IPD entry is freed");
+        assert!(imp.backoff[child].ready());
+        assert_eq!(imp.backoff[child].next, initial);
+        assert_eq!(imp.deferred_len, 0);
+        assert!(imp.deferred.is_empty(), "the child's retry is dropped");
+    }
+
+    #[test]
+    fn a_child_taken_for_another_pattern_leaves_its_parent() {
+        // Four entries: primaries at `a` and `b`, an idle stream, and
+        // `a`'s way child, which is the least recently used entry.
+        let mut cfg = ImpConfig::paper_default();
+        cfg.pt_entries = 4;
+        let mut imp = Imp::new(cfg, false, 1);
+        let a = imp.table.observe(Pc::new(1), Addr::new(0x1000), 4).0;
+        let child = imp.table.alloc_detached(|_| false).unwrap();
+        let b = imp.table.observe(Pc::new(2), Addr::new(0x2000), 4).0;
+        imp.table.observe(Pc::new(3), Addr::new(0x3000), 4);
+        imp.table.touch(a);
+        enable(&mut imp, a, 0x10_0000);
+        enable(&mut imp, b, 0x20_0000);
+        enable(&mut imp, child, 0x30_0000);
+        imp.ind[a].next_way = Some(child);
+        imp.ind[child].prev = Some(a);
+        // `b`'s way detection takes the LRU entry for its own child.
+        imp.install(Detection {
+            owner: owner_of(b, DetectKind::Way),
+            shift: 2,
+            base: 0x40_0000,
+        });
+        assert_eq!(imp.ind[a].next_way, None, "the old parent forgets it");
+        assert_eq!(imp.ind[b].next_way, Some(child));
+        assert_eq!(imp.pattern(child), Some((2, 0x40_0000, IndType::SecondWay)));
+    }
+
+    #[test]
+    fn a_waiting_way_detection_leaves_the_backoff_alone() {
+        // The index stream is established in the table alone, so no
+        // primary detection runs before the pattern is enabled.
+        let mut imp = Imp::new(ImpConfig::paper_default(), false, 1);
+        let pc = Pc::new(1);
+        let b = |i: u64| Addr::new(0x1000 + 4 * i);
+        for i in 0..3 {
+            imp.table.observe(pc, b(i), 4);
+        }
+        let slot = imp.table.find(pc).unwrap();
+        enable(&mut imp, slot, 0x10_0000);
+        imp.backoff[slot].fail();
+        let wait = imp.backoff[slot].wait;
+        let mut src = MapValueSource::new();
+        src.insert(b(3), 4, 5);
+        imp.on_access_collect(Access::load_hit(pc, b(3), 4), &mut src);
+        assert!(imp.ind[slot].enabled && imp.ind[slot].next_way.is_none());
+        assert_eq!(imp.backoff[slot].wait, wait, "no tick while waiting");
+        assert!(!imp.ipd.has_entry(owner_of(slot, DetectKind::Way)));
+    }
 }

@@ -102,6 +102,30 @@ pub fn cells() -> Vec<(String, Sim)> {
             .walk_model(WalkModel::Cached)
             .manager("tree:epoch=1000"),
     ));
+    // The chained detector (depth >= 2): per-hop expectations, level
+    // children with detection state of their own, the translation-only
+    // frontier hop. At Tiny, skiplist's runtime at depth 3 differs from
+    // depth 2's.
+    cells.push((
+        "skiplist/imp:depth=3".into(),
+        Sim::workload("skiplist")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp:depth=3"),
+    ));
+    // impbench `translate`'s hashjoin cell at Tiny: the chained
+    // detector under a finite TLB with cached walks.
+    cells.push((
+        "hashjoin/imp:depth=3/tlb".into(),
+        Sim::workload("hashjoin")
+            .scale(Scale::Tiny)
+            .cores(16)
+            .prefetcher("imp:depth=3")
+            .tlb(TlbConfig::finite())
+            .l2_tlb(64, 8)
+            .tlb_prefetch(true)
+            .walk_model(WalkModel::Cached),
+    ));
     // The PerfectPrefetch upper bound: a shadow L1 runs ahead of the
     // real one, throttled to `perfpref_lead` cycles past the oldest
     // outstanding fetch.

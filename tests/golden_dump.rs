@@ -11,7 +11,7 @@ mod golden;
 
 use imp::common::fnv1a;
 
-const DIGESTS: [(&str, u64); 18] = [
+const DIGESTS: [(&str, u64); 20] = [
     ("spmv/none", 0xe4a1_5ddd_1a92_1490),
     ("spmv/stream", 0xb1a4_1497_1462_80c5),
     ("spmv/imp", 0xd04b_32e0_e8a2_71e4),
@@ -28,6 +28,8 @@ const DIGESTS: [(&str, u64); 18] = [
     ("spmv/imp/mixed-huge", 0x6c3c_abe6_c2bb_a2b6),
     ("graph500/imp/huge-nonblocking", 0xc181_bf88_164f_6e17),
     ("spmv/imp/tree-tlb", 0x624a_a0ad_6302_3755),
+    ("skiplist/imp:depth=3", 0x8ddd_4823_64a1_3553),
+    ("hashjoin/imp:depth=3/tlb", 0x4a44_5593_e570_b6fc),
     ("spmv/perfpref", 0x667f_81b6_ab0b_0f0e),
     ("spmv/perfpref/lead256", 0x3834_b583_8bcb_be3d),
 ];
