@@ -66,8 +66,6 @@ struct IndirectPattern {
     distance: u32,
     /// The pattern's demand accesses include writes: prefetch Exclusive.
     writes: bool,
-    /// Role in the pattern tree.
-    ind_type: IndType,
     /// Chain hop of this pattern's data array: 1 for `A[B[i]]`, 2 for
     /// the level below it, and so on. Way siblings share their parent's
     /// hop.
@@ -77,11 +75,9 @@ struct IndirectPattern {
     /// Child pattern indexed by this pattern's loaded values
     /// (multi-level).
     next_level: Option<usize>,
-    /// Parent pattern for secondary entries.
+    /// Parent pattern for secondary entries, whose `next_way` or
+    /// `next_level` links back here.
     prev: Option<usize>,
-    /// How many ways/levels already hang off this entry.
-    ways: usize,
-    levels: usize,
     /// Consecutive index accesses whose expected indirect address never
     /// appeared. A long streak retires the pattern (e.g. PageRank's
     /// rank-buffer swap changes BaseAddr between iterations).
@@ -186,11 +182,6 @@ impl Imp {
         }
     }
 
-    /// The configured maximum prefetch distance (for harness reporting).
-    pub fn max_distance(&self) -> u32 {
-        self.cfg.max_prefetch_distance
-    }
-
     /// Sets the chained-indirection depth (clamped to at least 1). Data
     /// prefetches chase up to `depth + 1` hops and the frontier hop is
     /// chased translation-only; `depth = 1` is bit-identical to the
@@ -198,11 +189,6 @@ impl Imp {
     pub fn with_depth(mut self, depth: u8) -> Self {
         self.depth = depth.max(1);
         self
-    }
-
-    /// The configured chained-indirection depth.
-    pub fn depth(&self) -> u8 {
-        self.depth
     }
 
     /// Number of currently enabled indirect patterns.
@@ -214,49 +200,31 @@ impl Imp {
     /// `(shift, base, type)`.
     pub fn pattern(&self, i: usize) -> Option<(i8, u64, IndType)> {
         let p = &self.ind[i];
-        p.enabled.then_some((p.shift, p.base, p.ind_type))
+        let ind_type = match p.prev {
+            None => IndType::Primary,
+            Some(parent) if self.ind[parent].next_way == Some(i) => IndType::SecondWay,
+            Some(_) => IndType::SecondLevel,
+        };
+        p.enabled.then_some((p.shift, p.base, ind_type))
     }
 
-    /// Clears a pattern and its whole way/level subtree. At depth 1 the
-    /// tree is at most one level deep and children never own detection
-    /// state, so only the patterns themselves are cleared (the original
-    /// behaviour); at depth >= 2 descendants may hold IPD sub-slots,
-    /// back-off state and deferred retries of their own, which must be
-    /// released with them.
-    fn clear_subtree(&mut self, slot: usize) {
-        let (next_way, next_level) = (self.ind[slot].next_way, self.ind[slot].next_level);
-        for child in [next_way, next_level].into_iter().flatten() {
-            self.clear_subtree(child);
-        }
-        self.ind[slot] = IndirectPattern::default();
-        self.pending[slot] = NO_PENDING;
-        if self.depth >= 2 {
-            self.backoff[slot] = Backoff::new(self.cfg.detect_backoff_initial);
-            for k in [DetectKind::Primary, DetectKind::Way, DetectKind::Level] {
-                self.ipd.release(owner_of(slot, k));
-            }
-            self.gp.reset_entry(slot);
-            self.drop_deferred(slot);
-        }
-    }
-
+    /// Frees `slot` and its way/level subtree: each pattern with its
+    /// expected line, back-off, IPD sub-slots, GP entry and deferred
+    /// retries. A parent that links to `slot` forgets the link. The
+    /// stream half of the entry is kept.
     fn reset_slot(&mut self, slot: usize) {
-        // Unlink children and any parent pointing here.
-        let (next_way, next_level) = (self.ind[slot].next_way, self.ind[slot].next_level);
-        for child in [next_way, next_level].into_iter().flatten() {
-            self.clear_subtree(child);
+        let p = std::mem::take(&mut self.ind[slot]);
+        for child in [p.next_way, p.next_level].into_iter().flatten() {
+            self.reset_slot(child);
         }
-        for p in &mut self.ind {
-            if p.next_way == Some(slot) {
-                p.next_way = None;
-                p.ways = p.ways.saturating_sub(1);
-            }
-            if p.next_level == Some(slot) {
-                p.next_level = None;
-                p.levels = p.levels.saturating_sub(1);
+        if let Some(parent) = p.prev {
+            let q = &mut self.ind[parent];
+            for link in [&mut q.next_way, &mut q.next_level] {
+                if *link == Some(slot) {
+                    *link = None;
+                }
             }
         }
-        self.ind[slot] = IndirectPattern::default();
         self.pending[slot] = NO_PENDING;
         self.backoff[slot] = Backoff::new(self.cfg.detect_backoff_initial);
         for k in [DetectKind::Primary, DetectKind::Way, DetectKind::Level] {
@@ -289,64 +257,44 @@ impl Imp {
         });
     }
 
+    /// Enables a detected pattern in a freed slot: a primary in its own
+    /// slot, a way or level child in a detached slot linked below it.
     fn install(&mut self, det: Detection) {
         let (slot, kind) = decode_owner(det.owner);
-        match kind {
-            DetectKind::Primary => {
-                self.pending[slot] = NO_PENDING;
-                let p = &mut self.ind[slot];
-                p.enabled = true;
-                p.shift = det.shift;
-                p.base = det.base;
-                p.hit_cnt = 0;
-                p.prefetching = false;
-                p.distance = 1;
-                p.ind_type = IndType::Primary;
-                p.hop = 1;
-                self.gp.reset_entry(slot);
-                self.stats.patterns_detected += 1;
-            }
-            DetectKind::Way | DetectKind::Level => {
-                // A secondary pattern never links to itself or its parent.
-                let protected = |i: usize| i == slot || self.ind[i].prev == Some(slot);
-                let Some(child) = self.table.alloc_detached(protected) else {
-                    return;
-                };
-                if child == slot {
-                    return;
-                }
-                self.reset_slot(child);
-                let parent_hop = self.ind[slot].hop.max(1);
-                let p = &mut self.ind[child];
-                p.enabled = true;
-                p.shift = det.shift;
-                p.base = det.base;
-                p.prefetching = true; // confidence rides on the parent
-                p.distance = 1;
-                p.prev = Some(slot);
-                p.ind_type = if kind == DetectKind::Way {
-                    IndType::SecondWay
-                } else {
-                    IndType::SecondLevel
-                };
-                p.hop = if kind == DetectKind::Way {
-                    parent_hop
-                } else {
-                    parent_hop.saturating_add(1)
-                };
-                if kind == DetectKind::Way {
-                    self.ind[slot].next_way = Some(child);
-                    self.ind[slot].ways += 1;
-                    self.stats.ways_detected += 1;
-                } else {
-                    self.ind[slot].next_level = Some(child);
-                    self.ind[slot].levels += 1;
-                    self.stats.levels_detected += 1;
-                }
-                self.gp.reset_entry(child);
-                self.stats.patterns_detected += 1;
+        let pattern = IndirectPattern {
+            enabled: true,
+            shift: det.shift,
+            base: det.base,
+            distance: 1,
+            hop: 1,
+            ..IndirectPattern::default()
+        };
+        if kind == DetectKind::Primary {
+            self.ind[slot] = pattern;
+        } else {
+            // A secondary pattern never links to itself or its children.
+            let protected = |i: usize| i == slot || self.ind[i].prev == Some(slot);
+            let Some(child) = self.table.alloc_detached(protected) else {
+                return;
+            };
+            self.reset_slot(child);
+            let way = kind == DetectKind::Way;
+            let hop = self.ind[slot].hop.max(1);
+            self.ind[child] = IndirectPattern {
+                prefetching: true, // confidence rides on the parent
+                hop: if way { hop } else { hop.saturating_add(1) },
+                prev: Some(slot),
+                ..pattern
+            };
+            if way {
+                self.ind[slot].next_way = Some(child);
+                self.stats.ways_detected += 1;
+            } else {
+                self.ind[slot].next_level = Some(child);
+                self.stats.levels_detected += 1;
             }
         }
+        self.stats.patterns_detected += 1;
     }
 
     /// Element size (bytes) loaded by a pattern, derived from its
@@ -431,20 +379,45 @@ impl Imp {
         matched
     }
 
-    /// Retires a pattern whose expectations stopped matching, freeing
-    /// the slot for the IPD to re-learn (the stream half is preserved).
-    fn retire_pattern(&mut self, slot: usize) {
-        let (next_way, next_level) = (self.ind[slot].next_way, self.ind[slot].next_level);
-        for child in [next_way, next_level].into_iter().flatten() {
-            self.clear_subtree(child);
+    /// Feeds `value`, the next index of `slot`'s `kind` detection, to
+    /// the IPD: it advances the detection in flight, or starts one once
+    /// the back-off has run out. A failed detection backs off further.
+    /// While backing off, primary and level detection tick the back-off
+    /// but a waiting way detection does not, so it only retries once
+    /// something else has ticked the slot's shared back-off.
+    fn detect(&mut self, slot: usize, kind: DetectKind, value: u64) {
+        let owner = owner_of(slot, kind);
+        if self.ipd.has_entry(owner) {
+            if self.ipd.on_index_access(owner, value) == IpdOutcome::Failed {
+                self.stats.detect_failures += 1;
+                self.backoff[slot].fail();
+            }
+        } else if self.backoff[slot].ready() {
+            self.ipd.try_allocate(owner, value);
+        } else if kind != DetectKind::Way {
+            self.backoff[slot].tick();
         }
-        self.ind[slot] = IndirectPattern::default();
-        self.pending[slot] = NO_PENDING;
-        self.backoff[slot] = Backoff::new(self.cfg.detect_backoff_initial);
-        for k in [DetectKind::Primary, DetectKind::Way, DetectKind::Level] {
-            self.ipd.release(owner_of(slot, k));
+    }
+
+    /// Confidence bookkeeping for the next index `value` of `slot`'s
+    /// pattern (Section 3.2.3): a still-pending expected line counts as
+    /// a miss, and the eighth miss in a row returns `true`, asking the
+    /// caller to retire the pattern. Otherwise the slot expects the line
+    /// `value` points at, when the value was readable.
+    fn expect(&mut self, slot: usize, value: Option<u64>) -> bool {
+        let p = &mut self.ind[slot];
+        if self.pending[slot] != NO_PENDING {
+            p.hit_cnt = p.hit_cnt.saturating_sub(1);
+            p.miss_streak += 1;
         }
-        self.drop_deferred(slot);
+        if p.miss_streak >= 8 {
+            return true;
+        }
+        if let Some(v) = value {
+            let expected = Addr::new(shift_apply(v, p.shift).wrapping_add(p.base));
+            self.pending[slot] = LineAddr::containing(expected).number();
+        }
+        false
     }
 }
 
@@ -461,64 +434,31 @@ impl L1Prefetcher for Imp {
         //    a value that may index a deeper array (Listing 3). Feed it
         //    to the level-detection sub-slot of `s`.
         if let Some(s) = matched {
-            let can_detect_level = {
-                let p = &self.ind[s];
-                let has_room = if self.depth == 1 {
-                    p.levels < self.cfg.max_levels.saturating_sub(1)
-                } else {
-                    // Children are installable up to hop `depth + 2`:
-                    // one hop past the data chain, chased
-                    // translation-only.
-                    u32::from(p.hop) <= u32::from(self.depth) + 1
-                };
-                p.prefetching && has_room && p.next_level.is_none()
+            let p = &self.ind[s];
+            let size = Self::value_read_size(p.shift);
+            let has_room = if self.depth == 1 {
+                self.cfg.max_levels > 1
+            } else {
+                // Children are installable up to hop `depth + 2`: one hop
+                // past the data chain, chased translation-only.
+                u32::from(p.hop) <= u32::from(self.depth) + 1
             };
-            if can_detect_level {
-                let owner = owner_of(s, DetectKind::Level);
-                let size = Self::value_read_size(self.ind[s].shift);
+            if p.prefetching && has_room && p.next_level.is_none() {
                 if let Some(v2) = values.read_value(access.addr, size) {
-                    if self.ipd.has_entry(owner) {
-                        if self.ipd.on_index_access(owner, v2) == IpdOutcome::Failed {
-                            self.stats.detect_failures += 1;
-                            self.backoff[s].fail();
-                        }
-                    } else if self.backoff[s].ready() {
-                        self.ipd.try_allocate(owner, v2);
-                    } else {
-                        self.backoff[s].tick();
-                    }
+                    self.detect(s, DetectKind::Level, v2);
                 }
             }
 
             // Per-hop confidence (depth >= 2 only): the value loaded by
             // this matched access is the next index of the level child,
-            // so expect the child's access and count hits and misses
-            // against it — exactly the bookkeeping primary patterns get
-            // from their index stream. A child whose hop stopped
-            // matching (e.g. a rebuilt hash table) is retired with its
-            // subtree so the IPD can re-learn it.
+            // which gets the bookkeeping primary patterns get from their
+            // index stream. A child whose hop stopped matching (e.g. a
+            // rebuilt hash table) is retired with its subtree so the IPD
+            // can re-learn it.
             if self.depth >= 2 {
-                let child = self.ind[s].next_level.filter(|&l| self.ind[l].enabled);
-                if let Some(l) = child {
-                    let retire = {
-                        let p = &mut self.ind[l];
-                        if self.pending[l] != NO_PENDING {
-                            p.hit_cnt = p.hit_cnt.saturating_sub(1);
-                            p.miss_streak += 1;
-                        }
-                        p.miss_streak >= 8
-                    };
-                    if retire {
-                        self.ind[s].next_level = None;
-                        self.ind[s].levels = self.ind[s].levels.saturating_sub(1);
-                        self.clear_subtree(l);
-                    } else {
-                        let size = Self::value_read_size(self.ind[s].shift);
-                        if let Some(v2) = values.read_value(access.addr, size) {
-                            let p = &self.ind[l];
-                            let expected = Addr::new(shift_apply(v2, p.shift).wrapping_add(p.base));
-                            self.pending[l] = LineAddr::containing(expected).number();
-                        }
+                if let Some(l) = self.ind[s].next_level.filter(|&l| self.ind[l].enabled) {
+                    if self.expect(l, values.read_value(access.addr, size)) {
+                        self.reset_slot(l);
                     }
                 }
             }
@@ -550,71 +490,27 @@ impl L1Prefetcher for Imp {
         if established && event == StreamEvent::Continued {
             if let Some(value) = values.read_value(access.addr, access.size) {
                 if !self.ind[slot].enabled {
-                    // Primary pattern detection via the IPD.
-                    let owner = owner_of(slot, DetectKind::Primary);
-                    if self.ipd.has_entry(owner) {
-                        if self.ipd.on_index_access(owner, value) == IpdOutcome::Failed {
-                            self.stats.detect_failures += 1;
-                            self.backoff[slot].fail();
+                    self.detect(slot, DetectKind::Primary, value);
+                } else if self.expect(slot, Some(value)) {
+                    // The pattern no longer describes reality (e.g. the
+                    // data array was swapped): retire it and let the IPD
+                    // find the new parameters.
+                    self.reset_slot(slot);
+                    if access.miss {
+                        if let Some(det) = self.ipd.on_miss(access.addr) {
+                            self.install(det);
                         }
-                    } else if self.backoff[slot].ready() {
-                        self.ipd.try_allocate(owner, value);
-                    } else {
-                        self.backoff[slot].tick();
                     }
+                    return;
                 } else {
-                    // Confidence: a still-pending expectation means the
-                    // previous index value never saw its indirect access.
-                    let threshold = self.cfg.confidence_threshold;
-                    let retired = {
-                        let p = &mut self.ind[slot];
-                        if self.pending[slot] != NO_PENDING {
-                            p.hit_cnt = p.hit_cnt.saturating_sub(1);
-                            p.miss_streak += 1;
-                        }
-                        if p.miss_streak >= 8 {
-                            true
-                        } else {
-                            let expected =
-                                Addr::new(shift_apply(value, p.shift).wrapping_add(p.base));
-                            self.pending[slot] = LineAddr::containing(expected).number();
-                            if p.hit_cnt >= threshold {
-                                p.prefetching = true;
-                            }
-                            false
-                        }
-                    };
-                    if retired {
-                        // The pattern no longer describes reality (e.g.
-                        // the data array was swapped): retire it and let
-                        // the IPD find the new parameters.
-                        self.retire_pattern(slot);
-                        if access.miss {
-                            if let Some(det) = self.ipd.on_miss(access.addr) {
-                                self.install(det);
-                            }
-                        }
-                        return;
+                    let p = &mut self.ind[slot];
+                    if p.hit_cnt >= self.cfg.confidence_threshold {
+                        p.prefetching = true;
                     }
-
                     // Multi-way detection: look for a second array driven
                     // by this same index stream.
-                    let can_detect_way = {
-                        let p = &self.ind[slot];
-                        p.prefetching
-                            && p.ways < self.cfg.max_ways.saturating_sub(1)
-                            && p.next_way.is_none()
-                    };
-                    if can_detect_way {
-                        let owner = owner_of(slot, DetectKind::Way);
-                        if self.ipd.has_entry(owner) {
-                            if self.ipd.on_index_access(owner, value) == IpdOutcome::Failed {
-                                self.stats.detect_failures += 1;
-                                self.backoff[slot].fail();
-                            }
-                        } else if self.backoff[slot].ready() {
-                            self.ipd.try_allocate(owner, value);
-                        }
+                    if p.prefetching && self.cfg.max_ways > 1 && p.next_way.is_none() {
+                        self.detect(slot, DetectKind::Way, value);
                     }
 
                     // Indirect prefetching at the current distance.
