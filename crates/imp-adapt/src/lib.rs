@@ -223,11 +223,6 @@ impl EpochTracker {
         EpochTracker::default()
     }
 
-    /// Epochs closed so far.
-    pub fn epochs(&self) -> u64 {
-        self.epoch
-    }
-
     /// Closes the epoch ending at `end`: returns the delta between the
     /// cumulative `ledger` and `tlb_prefetch_drops` passed now and those
     /// passed at the previous boundary, then re-snapshots.

@@ -110,10 +110,6 @@ pub struct Ledger {
     per_pc: FastMap<Pc, LedgerCounts>,
     per_class: [LedgerCounts; AccessClass::ALL.len()],
     per_hop: [LedgerCounts; MAX_HOPS],
-    /// Prefetch-waiter fills with no tracked issue (the prefetch merged
-    /// into an existing demand MSHR entry) — excluded from the
-    /// invariant by construction.
-    untracked_fills: u64,
     /// Tracked prefetches still in flight at run end (never filled).
     inflight_at_end: u64,
     finished: bool,
@@ -193,15 +189,9 @@ impl Ledger {
                 }
                 // A second fill of an already-resident entry (partial
                 // sectors): not a new tracked prefetch.
-                State::Resident { .. } => {
-                    self.untracked_fills += 1;
-                    FillOutcome::Untracked
-                }
+                State::Resident { .. } => FillOutcome::Untracked,
             },
-            None => {
-                self.untracked_fills += 1;
-                FillOutcome::Untracked
-            }
+            None => FillOutcome::Untracked,
         }
     }
 
@@ -276,12 +266,6 @@ impl Ledger {
     /// bucket).
     pub fn per_hop(&self) -> &[LedgerCounts; MAX_HOPS] {
         &self.per_hop
-    }
-
-    /// Prefetch-waiter fills that were never tracked (merged into a
-    /// demand entry at issue).
-    pub fn untracked_fills(&self) -> u64 {
-        self.untracked_fills
     }
 
     /// Tracked prefetches that never filled (still in flight at run
@@ -380,7 +364,6 @@ mod tests {
         let mut l = Ledger::default();
         assert_eq!(l.fill(0, line(9), 50), FillOutcome::Untracked);
         l.finish();
-        assert_eq!(l.untracked_fills(), 1);
         assert_eq!(l.total().fills, 0);
         assert!(l.reconciles());
     }

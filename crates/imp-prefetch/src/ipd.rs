@@ -80,7 +80,7 @@ impl Ipd {
 
     /// Number of free entries.
     pub fn free_entries(&self) -> usize {
-        self.entries.iter().filter(|e| e.none_ref()).count()
+        self.entries.iter().filter(|e| e.is_none()).count()
     }
 
     /// True if `owner` currently holds an entry.
@@ -95,7 +95,7 @@ impl Ipd {
         if self.has_entry(owner) {
             return false;
         }
-        let Some(slot) = self.entries.iter_mut().find(|e| e.none_ref()) else {
+        let Some(slot) = self.entries.iter_mut().find(|e| e.is_none()) else {
             return false;
         };
         *slot = Some(IpdEntry {
@@ -177,15 +177,6 @@ impl Ipd {
             self.release(d.owner);
         }
         detected
-    }
-}
-
-trait OptionExt {
-    fn none_ref(&self) -> bool;
-}
-impl<T> OptionExt for Option<T> {
-    fn none_ref(&self) -> bool {
-        self.is_none()
     }
 }
 
