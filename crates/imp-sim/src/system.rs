@@ -959,7 +959,6 @@ impl Fabric {
     }
 
     fn handle_msg(&mut self, msg: Msg, now: Cycle) {
-        self.traffic.noc_messages += 1;
         // Home-tile-bound protocol traffic lands on the destination's
         // L2-slice trace track (core- and MC-bound kinds would need
         // other tracks and dominate trace volume, so only the
@@ -1259,7 +1258,6 @@ impl WalkMemory for Fabric {
         let line = LineAddr::containing(pte);
         let home = self.home_of(line);
         let h = home as usize;
-        self.traffic.noc_messages += 1;
         let (at_home, _) = self.mesh.send(core as u32, home, 0, now);
         let probed = at_home + self.cfg.mem.l2_slice.latency;
         let ready = match self.l2[h].demand_access(line, SectorMask::FULL_L2, false) {
@@ -1267,19 +1265,16 @@ impl WalkMemory for Fabric {
             AccessOutcome::SectorMiss { .. } | AccessOutcome::Miss => {
                 let mc = mc_for_line(line.number(), self.cfg.mem.mem_controllers) as usize;
                 let mc_tile = self.mc_tiles[mc];
-                self.traffic.noc_messages += 1;
                 let (at_mc, _) = self.mesh.send(home, mc_tile, 0, probed);
                 let fetched = self.drams[mc].access(at_mc, line.base().raw(), LINE_BYTES, false);
                 self.traffic.dram_read_bytes += LINE_BYTES;
                 self.traffic.dram_accesses += 1;
-                self.traffic.noc_messages += 1;
                 let (back, _) = self.mesh.send(mc_tile, home, LINE_BYTES, fetched);
                 let (dir, mut home) = self.home(h);
                 home.fill(dir, line, SectorMask::FULL_L2, back);
                 back
             }
         };
-        self.traffic.noc_messages += 1;
         let (done, _) = self.mesh.send(home, core as u32, PTE_BYTES, ready);
         done
     }
@@ -1817,6 +1812,7 @@ impl System {
         let runtime = cores.iter().map(|c| c.done_cycle).max().unwrap_or(0);
         let mut traffic = self.fab.traffic.clone();
         traffic.noc_flit_hops = self.fab.mesh.flit_hops();
+        traffic.noc_messages = self.fab.mesh.messages();
         let n = cores.len();
         let (tlb, tlb_huge, tlb_l2) = match &self.fab.vm {
             Some(vm) => (
