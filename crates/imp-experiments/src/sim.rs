@@ -23,16 +23,14 @@
 //! so a custom prefetcher registered from *outside* the simulator crates
 //! runs through `Sim` exactly like the stock ones.
 
-use imp_adapt::ManagerError;
 use imp_common::config::{
     CoreModel, DramModelKind, MemMode, PagePolicy, PartialMode, PrefetcherSpec, TlbConfig,
     TranslationPolicy, WalkModel,
 };
 use imp_common::{ImpConfig, MemConfig, MemRegion, SystemConfig, SystemStats};
 use imp_obs::{ObsConfig, ObsReport, Probe};
-use imp_sim::{BuildError, RegistryError, RunError, System, VmConfigError};
+use imp_sim::{BuildError, RunError, System};
 use imp_store::CellKey;
-use imp_trace::BarrierMismatch;
 use imp_workloads::{by_name, BuiltArtifact, ChainSpec, Scale, WorkloadError, WorkloadParams};
 use std::fmt;
 
@@ -45,36 +43,20 @@ pub enum SimError {
     InvalidCores(u32),
     /// A prefetcher spec string passed to the builder did not parse.
     InvalidSpec(String),
-    /// The prefetcher spec did not resolve or rejected a parameter.
-    Prefetcher(RegistryError),
-    /// The manager spec named an unknown policy or rejected a
-    /// parameter.
-    Manager(ManagerError),
     /// The workload could not build (a `trace:<path>` replay failed;
     /// the message is the underlying `WorkloadError`).
     Build(String),
-    /// The program's cores disagree on barrier counts.
-    Barrier(BarrierMismatch),
-    /// The TLB configuration is invalid (zero sets/ways, bad page
-    /// size).
-    Tlb(VmConfigError),
     /// A `page_policy` override names a region (or glob) no workload
     /// region matches.
     UnknownRegion(String),
-    /// The program (or artifact) was generated for a different core
-    /// count than the configuration describes.
-    CoreMismatch {
-        /// Cores the program was generated for.
-        program: usize,
-        /// Cores the configuration describes.
-        config: u32,
-    },
     /// The result store could not be opened or read (a genuine I/O
     /// failure — a missing or corrupt record is a cache miss, never an
     /// error).
     Store(String),
-    /// The simulator cannot model the configured machine (too many
-    /// tiles, or an ACKwise pointer count wider than it stores).
+    /// The machine could not be built from the configuration and the
+    /// program: an unresolved prefetcher or manager spec, an invalid
+    /// TLB configuration, a core-count or barrier mismatch, or a
+    /// machine larger than the simulator models.
     System(BuildError),
     /// The run exceeded its event budget (see [`Sim::event_budget`])
     /// before finishing; a runaway sweep cell fails this way instead of
@@ -109,20 +91,12 @@ impl fmt::Display for SimError {
                 write!(f, "core count {n} is not a positive perfect square")
             }
             SimError::InvalidSpec(e) => write!(f, "{e}"),
-            SimError::Prefetcher(e) => write!(f, "{e}"),
-            SimError::Manager(e) => write!(f, "{e}"),
             SimError::Build(e) => write!(f, "{e}"),
-            SimError::Barrier(e) => write!(f, "{e}"),
-            SimError::Tlb(e) => write!(f, "{e}"),
             SimError::UnknownRegion(name) => write!(
                 f,
                 "page-policy override {name:?} matches no workload region \
                  (region names are recorded in the built artifact; a \
                  trailing '*' globs a family)"
-            ),
-            SimError::CoreMismatch { program, config } => write!(
-                f,
-                "program was generated for {program} cores but the configuration has {config}"
             ),
             SimError::Store(e) => write!(f, "result store failure: {e}"),
             SimError::System(e) => write!(f, "{e}"),
@@ -135,26 +109,9 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-impl From<RegistryError> for SimError {
-    fn from(e: RegistryError) -> Self {
-        SimError::Prefetcher(e)
-    }
-}
-
 impl From<BuildError> for SimError {
     fn from(e: BuildError) -> Self {
-        match e {
-            BuildError::Registry(e) => SimError::Prefetcher(e),
-            BuildError::Barrier(e) => SimError::Barrier(e),
-            BuildError::CoreCountMismatch { program, config } => {
-                SimError::CoreMismatch { program, config }
-            }
-            BuildError::Vm(e) => SimError::Tlb(e),
-            BuildError::Manager(e) => SimError::Manager(e),
-            e @ (BuildError::TooManyTiles { .. } | BuildError::AckwiseTooWide { .. }) => {
-                SimError::System(e)
-            }
-        }
+        SimError::System(e)
     }
 }
 
@@ -267,7 +224,7 @@ impl Sim {
     /// A malformed spec string does not panic; it surfaces as
     /// [`SimError::InvalidSpec`] when the builder runs. A well-formed
     /// spec naming an unknown policy or a bad parameter surfaces as
-    /// [`SimError::Manager`].
+    /// [`SimError::System`] with [`BuildError::Manager`].
     #[must_use]
     pub fn manager<S>(mut self, spec: S) -> Self
     where
@@ -541,7 +498,7 @@ impl Sim {
         };
         // Surface invalid TLB geometry (zero sets, bad page sizes) at
         // config-resolve time instead of deep inside the system build.
-        imp_sim::validate_tlb_config(&cfg.tlb).map_err(SimError::Tlb)?;
+        imp_sim::validate_tlb_config(&cfg.tlb).map_err(BuildError::Vm)?;
         Ok(cfg)
     }
 
@@ -597,10 +554,12 @@ impl Sim {
             // Keep the typed twin of the run_on-path error; the
             // remaining replay failures (I/O, corruption) wrap
             // non-cloneable sources and stay stringly.
-            WorkloadError::CoreCountMismatch { trace, requested } => SimError::CoreMismatch {
-                program: trace,
-                config: requested as u32,
-            },
+            WorkloadError::CoreCountMismatch { trace, requested } => {
+                SimError::System(BuildError::CoreCountMismatch {
+                    program: trace,
+                    config: requested as u32,
+                })
+            }
             other => SimError::Build(other.to_string()),
         })?;
         Ok(BuiltArtifact::from(built))
@@ -627,9 +586,9 @@ impl Sim {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::CoreMismatch`] when the artifact was
-    /// generated for a different core count than this builder targets,
-    /// plus the usual configuration errors.
+    /// Returns [`SimError::System`] with [`BuildError::CoreCountMismatch`]
+    /// when the artifact was generated for a different core count than
+    /// this builder targets, plus the usual configuration errors.
     pub fn run_on(&self, artifact: &BuiltArtifact) -> Result<SystemStats, SimError> {
         Ok(self.run_probed_on(artifact, None)?.0)
     }
@@ -731,6 +690,7 @@ fn glob_match(pattern: &str, name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imp_sim::RegistryError;
 
     #[test]
     fn builder_resolves_config() {
@@ -788,7 +748,10 @@ mod tests {
             .prefetcher("definitely-unregistered")
             .run()
         {
-            Err(SimError::Prefetcher(RegistryError::UnknownPrefetcher { name, .. })) => {
+            Err(SimError::System(BuildError::Registry(RegistryError::UnknownPrefetcher {
+                name,
+                ..
+            }))) => {
                 assert_eq!(name, "definitely-unregistered");
             }
             other => panic!("expected unknown-prefetcher error, got {other:?}"),
@@ -815,7 +778,10 @@ mod tests {
             .page_size(3000)
             .run()
             .unwrap_err();
-        assert!(matches!(err, SimError::Tlb(_)), "{err:?}");
+        assert!(
+            matches!(err, SimError::System(BuildError::Vm(_))),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -837,7 +803,10 @@ mod tests {
             .l2_tlb(128, 0)
             .run()
             .unwrap_err();
-        assert!(matches!(err, SimError::Tlb(_)), "{err:?}");
+        assert!(
+            matches!(err, SimError::System(BuildError::Vm(_))),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1044,7 +1013,9 @@ mod tests {
             .manager("nope")
             .run()
         {
-            Err(SimError::Manager(e)) => assert!(e.to_string().contains("nope"), "{e}"),
+            Err(SimError::System(BuildError::Manager(e))) => {
+                assert!(e.to_string().contains("nope"), "{e}")
+            }
             other => panic!("expected Manager, got {other:?}"),
         }
         // And so does a known policy with an out-of-range parameter.
@@ -1053,7 +1024,9 @@ mod tests {
             .manager("throttle:accuracy_floor=1.5")
             .run()
         {
-            Err(SimError::Manager(e)) => assert!(e.to_string().contains("floor"), "{e}"),
+            Err(SimError::System(BuildError::Manager(e))) => {
+                assert!(e.to_string().contains("floor"), "{e}")
+            }
             other => panic!("expected Manager, got {other:?}"),
         }
     }

@@ -332,7 +332,7 @@ impl Sweep {
     ///
     /// A malformed spec string surfaces as [`SimError::InvalidSpec`]
     /// from [`Sweep::run`]; an unknown policy name fails its cells with
-    /// [`SimError::Manager`].
+    /// [`SimError::System`].
     #[must_use]
     pub fn managers<I, S>(mut self, specs: I) -> Self
     where
@@ -837,6 +837,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imp_sim::BuildError;
     use imp_workloads::Scale;
 
     /// The canonical input of `sweep`'s cell `i`.
@@ -1028,7 +1029,10 @@ mod tests {
             .prefetchers(["stream", "no-such-prefetcher"])
             .run()
             .unwrap_err();
-        assert!(matches!(err, SimError::Prefetcher(_)), "{err:?}");
+        assert!(
+            matches!(err, SimError::System(BuildError::Registry(_))),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1045,7 +1049,10 @@ mod tests {
         assert!(outcomes[0].is_ok(), "stream cell survives");
         assert!(outcomes[2].is_ok(), "imp cell survives");
         let err = outcomes[1].as_ref().unwrap_err();
-        assert!(matches!(err.error, SimError::Prefetcher(_)), "{err}");
+        assert!(
+            matches!(err.error, SimError::System(BuildError::Registry(_))),
+            "{err}"
+        );
         assert_eq!(err.cell.prefetcher.name, "no-such-prefetcher");
         assert!(sweep.run().is_err(), "run() still fails the whole grid");
     }
@@ -1183,7 +1190,10 @@ mod tests {
         );
         let outcomes = sweep.run_partial().unwrap();
         let err = outcomes[0].as_ref().unwrap_err();
-        assert!(matches!(err.error, SimError::Tlb(_)), "{err}");
+        assert!(
+            matches!(err.error, SimError::System(BuildError::Vm(_))),
+            "{err}"
+        );
         for cell in [&err.cell, &sweep.cells()[0]] {
             assert_eq!(cell.manager.as_ref().unwrap().name, "static");
             assert_eq!(cell.tlb.page_bytes, 3000);

@@ -15,6 +15,7 @@
 //! counters don't interfere across this binary's parallel test threads.
 
 use imp::prelude::*;
+use imp::sim::BuildError;
 use imp::trace::TraceError;
 use imp::workloads::{build_count, BuiltArtifact};
 use std::path::PathBuf;
@@ -116,10 +117,10 @@ fn replay_failures_are_per_cell_errors() {
     std::fs::remove_file(&path).ok();
     assert_eq!(
         mismatched.unwrap_err(),
-        SimError::CoreMismatch {
+        SimError::System(BuildError::CoreCountMismatch {
             program: 16,
             config: 64
-        }
+        })
     );
 
     let outcomes = Sweep::from(Sim::workload("lsh").scale(Scale::Tiny).cores(16))
