@@ -103,8 +103,7 @@ impl Workload for Graph500 {
             for (c, range) in chunks.iter().enumerate() {
                 let ops = program.core_mut(c);
                 for i in range.clone() {
-                    if params.software_prefetch {
-                        let d = params.sw_distance;
+                    if let Some(d) = params.software_prefetch {
                         if i + d < range.end {
                             let fu = frontier[(i + d) as usize];
                             ops.push(Op::load(
@@ -130,10 +129,10 @@ impl Workload for Graph500 {
                     ops.push(hop_load(&a_xadj, u64::from(u) + 1, PC_XADJ2).with_dep(2));
                     let (lo, hi) = (g.xadj[u as usize] as u64, g.xadj[u as usize + 1] as u64);
                     for e in lo..hi {
-                        if params.software_prefetch && e + params.sw_distance < hi {
-                            let fw = g.adj[(e + params.sw_distance) as usize];
+                        if let Some(d) = params.software_prefetch.filter(|&d| e + d < hi) {
+                            let fw = g.adj[(e + d) as usize];
                             ops.push(Op::load(
-                                a_adj.addr_of(e + params.sw_distance),
+                                a_adj.addr_of(e + d),
                                 4,
                                 PC_SW_IDX,
                                 AccessClass::Stream,

@@ -77,11 +77,10 @@ pub struct WorkloadParams {
     pub cores: usize,
     /// Input sizing.
     pub scale: Scale,
-    /// Insert Mowry-style software prefetches (Section 5.4's *Software
-    /// Prefetching* configuration).
-    pub software_prefetch: bool,
-    /// Software prefetch distance (elements ahead).
-    pub sw_distance: u64,
+    /// Insert Mowry-style software prefetches this many elements ahead
+    /// (Section 5.4's *Software Prefetching* configuration); `None`
+    /// inserts none.
+    pub software_prefetch: Option<u64>,
     /// RNG seed for input generation.
     pub seed: u64,
 }
@@ -92,8 +91,7 @@ impl WorkloadParams {
         WorkloadParams {
             cores,
             scale,
-            software_prefetch: false,
-            sw_distance: 16,
+            software_prefetch: None,
             seed: 42,
         }
     }
@@ -101,8 +99,7 @@ impl WorkloadParams {
     /// Returns a copy with software prefetching enabled at `distance`.
     #[must_use]
     pub fn with_software_prefetch(mut self, distance: u64) -> Self {
-        self.software_prefetch = true;
-        self.sw_distance = distance;
+        self.software_prefetch = Some(distance);
         self
     }
 }

@@ -125,8 +125,7 @@ impl Workload for Lsh {
                 let cand = &input.candidates[qi as usize];
                 let arr = a_cands[qi as usize];
                 for (i, &p) in cand.iter().enumerate() {
-                    if params.software_prefetch {
-                        let d = params.sw_distance as usize;
+                    if let Some(d) = params.software_prefetch.map(|d| d as usize) {
                         if let Some(&fp) = cand.get(i + d) {
                             ops.push(Op::load(
                                 arr.addr_of((i + d) as u64),

@@ -85,7 +85,6 @@ impl Workload for Pagerank {
         let mut pr = vec![1.0 / n as f64; n as usize];
         let mut program = Program::new("pagerank", params.cores);
         let parts = partition(n, params.cores);
-        let d = params.sw_distance;
 
         for it in 0..iters {
             let (src, _dst) = (a_pr[it % 2], a_pr[(it + 1) % 2]);
@@ -102,7 +101,7 @@ impl Workload for Pagerank {
                     ));
                     let (lo, hi) = (g.xadj[v as usize] as u64, g.xadj[v as usize + 1] as u64);
                     for e in lo..hi {
-                        if params.software_prefetch && e + d < hi {
+                        if let Some(d) = params.software_prefetch.filter(|&d| e + d < hi) {
                             // Mowry-style indirect prefetch: load the
                             // future index, compute the address, prefetch.
                             let fu = g.adj[(e + d) as usize] as u64;

@@ -160,8 +160,7 @@ impl Workload for Sgd {
             }
             let ops = program.core_mut(c);
             for (j, &k) in shard.iter().enumerate() {
-                if params.software_prefetch {
-                    let d = params.sw_distance as usize;
+                if let Some(d) = params.software_prefetch.map(|d| d as usize) {
                     if let Some(&fk) = shard.get(j + d) {
                         let fu = u64::from(ru[fk as usize]) * FEATURES as u64;
                         let fi = u64::from(ri[fk as usize]) * FEATURES as u64;

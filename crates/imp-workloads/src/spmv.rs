@@ -57,7 +57,6 @@ impl Workload for Spmv {
 
         let mut program = Program::new("spmv", params.cores);
         let parts = partition(rows, params.cores);
-        let d = params.sw_distance;
         for (c, range) in parts.iter().enumerate() {
             let ops = program.core_mut(c);
             for r in range.clone() {
@@ -69,7 +68,7 @@ impl Workload for Spmv {
                 ));
                 let (lo, hi) = (m.xadj[r as usize] as u64, m.xadj[r as usize + 1] as u64);
                 for k in lo..hi {
-                    if params.software_prefetch && k + d < hi {
+                    if let Some(d) = params.software_prefetch.filter(|&d| k + d < hi) {
                         let fc = m.col[(k + d) as usize] as u64;
                         ops.push(Op::load(
                             a_col.addr_of(k + d),

@@ -140,8 +140,7 @@ impl Workload for Symgs {
                         (lo..hi).rev().collect()
                     };
                     for (ki, k) in ks.iter().copied().enumerate() {
-                        if params.software_prefetch {
-                            let d = params.sw_distance as usize;
+                        if let Some(d) = params.software_prefetch.map(|d| d as usize) {
                             if let Some(&fk) = ks.get(ki + d) {
                                 let fc = m.col[fk as usize] as u64;
                                 ops.push(Op::load(

@@ -145,10 +145,10 @@ impl Workload for TriCount {
                     );
                     let (wlo, whi) = (g.xadj[w as usize] as u64, g.xadj[w as usize + 1] as u64);
                     for k in wlo..whi {
-                        if params.software_prefetch && k + params.sw_distance < whi {
-                            let fx = g.adj[(k + params.sw_distance) as usize];
+                        if let Some(d) = params.software_prefetch.filter(|&d| k + d < whi) {
+                            let fx = g.adj[(k + d) as usize];
                             ops.push(Op::load(
-                                a_adj.addr_of(k + params.sw_distance),
+                                a_adj.addr_of(k + d),
                                 4,
                                 PC_SW_IDX,
                                 AccessClass::Stream,
