@@ -886,11 +886,7 @@ mod tests {
             let pc = Pc::new(slot as u32 + 1);
             let (entry, _, _) = imp.table.observe(pc, Addr::new(base), 4);
             assert_eq!(entry, slot);
-            let p = &mut imp.ind[slot];
-            p.enabled = true;
-            p.prefetching = true;
-            p.shift = 3;
-            p.base = base;
+            enable(&mut imp, slot, base);
         }
         let (l, m) = (0x1000u64, 0x2000u64);
         let waits = [(0, l), (1, m), (0, l + 4), (1, l + 8), (0, m + 4)];
